@@ -1,7 +1,9 @@
 # Makefile — developer entry points. `make verify` is the full gate:
-# gofmt, tier-1 build+tests, vet, and the race-detected suites. `make
-# bench` snapshots the root benchmarks into BENCH_PR10.json and gates the
-# snapshot against the previous PR's BENCH_PR9.json: a >10% ns/op
+# gofmt, tier-1 build+tests, vet, the race-detected suites, and the
+# benchmark module (`make perfbench-test`). `make bench` snapshots the
+# root benchmarks into BENCH_PR<N+1>.json, where BENCH_PR<N>.json is the
+# highest-numbered snapshot present, and gates the new snapshot against
+# that one: a >10% ns/op
 # regression on the critical Figure3/Figure4 benches fails the target,
 # as does >3% on the attestation-protocol hot path — the latter now runs
 # alongside its profiler-enabled twin (armed ticker / active CPU capture)
@@ -14,7 +16,12 @@
 
 GO ?= go
 
-.PHONY: build test vet race verify bench
+# Snapshot names for `make bench`, derived from the files present.
+BENCH_PREV_N := $(shell ls BENCH_PR*.json 2>/dev/null | sed -n 's/^BENCH_PR\([0-9][0-9]*\)\.json$$/\1/p' | sort -n | tail -n 1)
+BENCH_PREV := BENCH_PR$(BENCH_PREV_N).json
+BENCH_NEXT := BENCH_PR$(shell expr 0$(BENCH_PREV_N) + 1).json
+
+.PHONY: build test vet race verify bench perfbench-test
 
 build:
 	$(GO) build ./...
@@ -35,6 +42,11 @@ race:
 
 verify:
 	./scripts/verify.sh
+
+# perfbench/ is its own Go module (replace pufatt => ../), so the root
+# `go test ./...` never builds it; vet and test it against this checkout.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Run the facade benchmarks and record them as JSON for cross-PR
 # comparison, then gate against the previous PR's snapshot (10% ns/op
@@ -58,7 +70,7 @@ verify:
 bench:
 	{ $(GO) test -run '^$$' -bench . -benchtime 20x -count 5 . ; \
 	  $(GO) test -run '^$$' -bench 'Figure3|Figure4|AttestationProtocol|BatchEval' -benchtime 2000x -count 5 . ; \
-	  PUFATT_BENCH_CLUSTER=1 $(GO) test -run '^$$' -bench 'ClusterLoadSLO' -benchtime 1x -count 1 -timeout 30m . ; } | $(GO) run ./scripts/benchjson > BENCH_PR10.json
-	@cat BENCH_PR10.json
-	@if [ -f BENCH_PR9.json ]; then $(GO) run ./scripts/benchjson compare -threshold 0.10 -critical 'Figure3|Figure4' -strict BENCH_PR9.json BENCH_PR10.json; fi
-	@if [ -f BENCH_PR9.json ]; then $(GO) run ./scripts/benchjson compare -threshold 0.03 -critical 'AttestationProtocol' -strict BENCH_PR9.json BENCH_PR10.json; fi
+	  PUFATT_BENCH_CLUSTER=1 $(GO) test -run '^$$' -bench 'ClusterLoadSLO' -benchtime 1x -count 1 -timeout 30m . ; } | $(GO) run ./scripts/benchjson > $(BENCH_NEXT)
+	@cat $(BENCH_NEXT)
+	@if [ -f "$(BENCH_PREV)" ]; then $(GO) run ./scripts/benchjson compare -threshold 0.10 -critical 'Figure3|Figure4' -strict $(BENCH_PREV) $(BENCH_NEXT); fi
+	@if [ -f "$(BENCH_PREV)" ]; then $(GO) run ./scripts/benchjson compare -threshold 0.03 -critical 'AttestationProtocol' -strict $(BENCH_PREV) $(BENCH_NEXT); fi

@@ -121,12 +121,7 @@ func (c *Cluster) Snapshot() ClusterSnapshot {
 		for _, sid := range g.replicas {
 			st.Applied[sid] = g.logs[sid].applied()
 		}
-		lead := g.logs[g.replicas[g.leader]]
-		for _, s := range g.enr.order {
-			if !lead.used[s] {
-				st.Remaining++
-			}
-		}
+		st.Remaining = g.remainingLocked(g.logs[g.replicas[g.leader]])
 		g.mu.Unlock()
 		snap.Devices = append(snap.Devices, st)
 	}

@@ -186,7 +186,7 @@ func (c *Cluster) Revive(id string) error {
 // on the ring and creating one claim log per replica. The returned Group
 // is the device's seed budget and reference source.
 func (c *Cluster) Enroll(enr *Enrollment) (*Group, error) {
-	id := enr.Device()
+	id := enr.ChipID()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, dup := c.groups[id]; dup {

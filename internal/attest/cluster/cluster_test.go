@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -18,17 +19,19 @@ import (
 	"pufatt/internal/swatt"
 )
 
-// fakeEnrollment builds enrollment material without measuring a device:
-// group/replication semantics don't need real references.
+// fakeEnrollment builds enrollment material without measuring a device,
+// through crp's from-rows constructor: group/replication semantics don't
+// need real references, so row (s, j) is the two bytes {s, j}.
 func fakeEnrollment(device int, epoch uint32, seeds ...uint64) *Enrollment {
-	e := &Enrollment{device: device, bits: 32, epoch: epoch, refs: make(map[uint64][][]uint8)}
+	var rows [][]uint8
 	for _, s := range seeds {
-		refs := make([][]uint8, obfuscate.ResponsesPerOutput)
-		for j := range refs {
-			refs[j] = []uint8{uint8(s), uint8(j)}
+		for j := 0; j < obfuscate.ResponsesPerOutput; j++ {
+			rows = append(rows, []uint8{uint8(s), uint8(j)})
 		}
-		e.refs[s] = refs
-		e.order = append(e.order, s)
+	}
+	e, err := crp.FromRows(device, 2, epoch, seeds, rows)
+	if err != nil {
+		panic(err)
 	}
 	return e
 }
@@ -302,6 +305,51 @@ func fleetFixtures(t *testing.T) (*core.Design, *swatt.Image) {
 		fleetImage = img
 	})
 	return fleetDesign, fleetImage
+}
+
+// TestNewEnrollmentMatchesScalarEngine checks the batch-measured cluster
+// enrollment against the scalar reference engine: after each seed is
+// claimed through the group, every expansion served must equal
+// Device.NoiselessResponse, and the enrollment carries the device's chip
+// and epoch.
+func TestNewEnrollmentMatchesScalarEngine(t *testing.T) {
+	design, _ := fleetFixtures(t)
+	dev, err := core.NewDevice(design, rng.New(5), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev.SetEpoch(2)
+	seeds := []uint64{3, 14, 159, 2653}
+	enr, err := NewEnrollment(dev, seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if enr.ChipID() != 3 || enr.Epoch() != 2 || enr.Len() != len(seeds) {
+		t.Fatalf("enrollment chip=%d epoch=%d len=%d, want 3/2/%d", enr.ChipID(), enr.Epoch(), enr.Len(), len(seeds))
+	}
+	c := threeShards(t, false)
+	g, err := c.Enroll(enr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seed := range seeds {
+		if got, err := g.NextUnused(); err != nil || got != seed {
+			t.Fatalf("NextUnused = %d, %v; want %d", got, err, seed)
+		}
+		for j := 0; j < obfuscate.ResponsesPerOutput; j++ {
+			want := dev.NoiselessResponse(design.ExpandChallenge(seed, j))
+			got, err := g.ReferenceResponse(seed, j)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("seed %d ref %d: enrollment disagrees with the scalar engine", seed, j)
+			}
+		}
+	}
+	if _, err := NewEnrollment(dev, []uint64{9, 9}); err == nil {
+		t.Fatal("duplicate enrollment seed accepted")
+	}
 }
 
 // bindTestDevice simulates a device, enrolls it, and binds a full

@@ -1,55 +1,19 @@
 package cluster
 
 import (
-	"fmt"
-
 	"pufatt/internal/core"
-	"pufatt/internal/obfuscate"
+	"pufatt/internal/crp"
 )
 
-// Enrollment is one device's measured CRP material: the seed order and the
-// eight reference raw responses per seed, captured in the trusted facility
-// before deployment (exactly what crp.Enroll measures). It is immutable
-// after construction, which is what makes replication cheap: every replica
-// of a device shares one Enrollment by pointer, and only the claim log —
+// Enrollment is one device's measured CRP material: the crp package's
+// immutable enrollment. Every replica of a device shares one Enrollment by
+// pointer, which is what makes replication cheap: only the claim log —
 // the mutable "which seeds are burned" half — streams between shards.
-type Enrollment struct {
-	device int
-	bits   int
-	epoch  uint32
-	order  []uint64
-	refs   map[uint64][][]uint8
-}
+type Enrollment = crp.Enrollment
 
 // NewEnrollment measures the device's noiseless reference responses for
-// every seed.
+// every seed (crp.Measure on one worker: fleet set-up already fans devices
+// out across goroutines).
 func NewEnrollment(dev *core.Device, seeds []uint64) (*Enrollment, error) {
-	e := &Enrollment{
-		device: dev.ChipID(),
-		bits:   dev.Design().ResponseBits(),
-		epoch:  dev.Epoch(),
-		refs:   make(map[uint64][][]uint8, len(seeds)),
-	}
-	for _, seed := range seeds {
-		if _, dup := e.refs[seed]; dup {
-			return nil, fmt.Errorf("cluster: duplicate enrollment seed %#x", seed)
-		}
-		refs := make([][]uint8, obfuscate.ResponsesPerOutput)
-		for j := range refs {
-			ch := dev.Design().ExpandChallenge(seed, j)
-			refs[j] = append([]uint8(nil), dev.NoiselessResponse(ch)...)
-		}
-		e.refs[seed] = refs
-		e.order = append(e.order, seed)
-	}
-	return e, nil
+	return crp.Measure(dev, seeds, 1)
 }
-
-// Device returns the chip ID the enrollment was measured for.
-func (e *Enrollment) Device() int { return e.device }
-
-// Epoch returns the device reconfiguration epoch the references belong to.
-func (e *Enrollment) Epoch() uint32 { return e.epoch }
-
-// Seeds returns the number of enrolled single-use seeds.
-func (e *Enrollment) Seeds() int { return len(e.order) }

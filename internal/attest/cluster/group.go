@@ -193,13 +193,25 @@ func (g *Group) NextUnused() (uint64, error) {
 // nextUnusedLocked scans the enrollment order from the log's cursor for
 // the first seed the log has not burned.
 func (g *Group) nextUnusedLocked(log *deviceLog) (uint64, bool) {
-	for log.cursor < len(g.enr.order) {
-		if s := g.enr.order[log.cursor]; !log.used[s] {
+	seeds := g.enr.Seeds()
+	for ; log.cursor < len(seeds); log.cursor++ {
+		if s := seeds[log.cursor]; !log.used[s] {
 			return s, true
 		}
-		log.cursor++
 	}
 	return 0, false
+}
+
+// remainingLocked counts the enrolled seeds a log has not burned. The log's
+// used set is seed-keyed and spans epochs, so this is a scan, not a count.
+func (g *Group) remainingLocked(log *deviceLog) int {
+	n := 0
+	for _, s := range g.enr.Seeds() {
+		if !log.used[s] {
+			n++
+		}
+	}
+	return n
 }
 
 // replicateLocked runs one frame through the full log-before-acknowledge
@@ -294,8 +306,8 @@ func (g *Group) observeLagLocked() {
 // frame is on every live replica, the old epoch's seeds are unclaimable
 // cluster-wide.
 func (g *Group) CommitEpoch(enr *Enrollment) error {
-	if enr.device != g.device {
-		return fmt.Errorf("cluster: enrollment for device %d offered to device %d", enr.device, g.device)
+	if enr.ChipID() != g.device {
+		return fmt.Errorf("cluster: enrollment for device %d offered to device %d", enr.ChipID(), g.device)
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -304,10 +316,10 @@ func (g *Group) CommitEpoch(enr *Enrollment) error {
 		return err
 	}
 	from := g.logs[lead].epoch
-	if enr.epoch == from {
+	if enr.Epoch() == from {
 		return fmt.Errorf("cluster: device %d re-enrollment must advance the epoch past %d", g.device, from)
 	}
-	if err := g.replicateLocked(lead, store.TransitionFrame(from, enr.epoch)); err != nil {
+	if err := g.replicateLocked(lead, store.TransitionFrame(from, enr.Epoch())); err != nil {
 		return err
 	}
 	g.enr = enr
@@ -326,7 +338,7 @@ func (g *Group) Epoch() uint32 {
 	defer g.mu.Unlock()
 	lead, err := g.leaderLocked()
 	if err != nil {
-		return g.enr.epoch
+		return g.enr.Epoch()
 	}
 	return g.logs[lead].epoch
 }
@@ -340,42 +352,23 @@ func (g *Group) Remaining() int {
 	if err != nil {
 		return 0
 	}
-	n := 0
-	for _, s := range g.enr.order {
-		if !g.logs[lead].used[s] {
-			n++
-		}
-	}
-	return n
+	return g.remainingLocked(g.logs[lead])
 }
 
 // ResponseBits implements core.ReferenceSource.
-func (g *Group) ResponseBits() int { return g.enr.bits }
+func (g *Group) ResponseBits() int { return g.enr.ResponseBits() }
 
-// ReferenceResponse implements core.ReferenceSource. Like crp.Database, a
-// seed must have been claimed before its references may be read, so a
-// protocol bug cannot silently bypass replay protection.
+// ReferenceResponse implements core.ReferenceSource through the
+// enrollment's claimed-before-read gate: a seed must have been claimed in
+// the leader's log before its references may be read, so a protocol bug
+// cannot silently bypass replay protection.
 func (g *Group) ReferenceResponse(seed uint64, j int) ([]uint8, error) {
 	g.mu.Lock()
-	enr := g.enr
+	defer g.mu.Unlock()
 	lead, err := g.leaderLocked()
-	var claimed bool
-	if err == nil {
-		claimed = g.logs[lead].used[seed]
-	}
-	g.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	refs, ok := enr.refs[seed]
-	if !ok {
-		return nil, crp.ErrUnknownSeed
-	}
-	if !claimed {
-		return nil, fmt.Errorf("cluster: seed %#x not claimed before use", seed)
-	}
-	if j < 0 || j >= len(refs) {
-		return nil, fmt.Errorf("cluster: reference index %d out of range", j)
-	}
-	return refs[j], nil
+	used := g.logs[lead].used
+	return g.enr.Reference(seed, j, func(int) bool { return used[seed] })
 }

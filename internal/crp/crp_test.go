@@ -232,7 +232,7 @@ func TestNextUnusedCountsNoSpuriousReplays(t *testing.T) {
 }
 
 // TestRemainingMatchesScan asserts the O(1) unused counter against a full
-// map scan through an interleaved claim sequence.
+// scan of the used flags through an interleaved claim sequence.
 func TestRemainingMatchesScan(t *testing.T) {
 	dev := testDevice(t)
 	seeds := make([]uint64, 20)
@@ -247,8 +247,8 @@ func TestRemainingMatchesScan(t *testing.T) {
 		db.mu.Lock()
 		defer db.mu.Unlock()
 		n := 0
-		for _, e := range db.entries {
-			if !e.used {
+		for _, u := range db.claims.Used() {
+			if !u {
 				n++
 			}
 		}
@@ -292,5 +292,69 @@ func TestReferencesMatchEmulator(t *testing.T) {
 		if stats.HammingDistance(fromDB, fromEm) != 0 {
 			t.Errorf("reference %d: database and emulator disagree", j)
 		}
+	}
+}
+
+// TestMeasureMatchesScalarEngine pins the one measuring path to the scalar
+// reference engine: every row, at any worker count and epoch, equals
+// Device.NoiselessResponse of the expanded challenge.
+func TestMeasureMatchesScalarEngine(t *testing.T) {
+	dev := testDevice(t)
+	dev.SetEpoch(3)
+	seeds := []uint64{3, 14, 159, 2653, 58979}
+	for _, workers := range []int{1, 4} {
+		enr, err := Measure(dev, seeds, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if enr.ChipID() != dev.ChipID() || enr.Epoch() != 3 || enr.Len() != len(seeds) {
+			t.Fatalf("shape: chip=%d epoch=%d len=%d", enr.ChipID(), enr.Epoch(), enr.Len())
+		}
+		all := func(int) bool { return true }
+		for _, seed := range seeds {
+			for j := 0; j < enr.RefsPer(); j++ {
+				got, err := enr.Reference(seed, j, all)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := dev.NoiselessResponse(dev.Design().ExpandChallenge(seed, j))
+				if stats.HammingDistance(got, want) != 0 {
+					t.Fatalf("workers=%d seed %d ref %d: batch measurement disagrees with the scalar engine", workers, seed, j)
+				}
+			}
+		}
+	}
+}
+
+// TestFromRowsValidates covers the external-import constructor's checks.
+func TestFromRowsValidates(t *testing.T) {
+	rows := func(n, bits int) [][]uint8 {
+		out := make([][]uint8, n)
+		for k := range out {
+			out[k] = make([]uint8, bits)
+			out[k][0] = uint8(k)
+		}
+		return out
+	}
+	for name, try := range map[string]func() error{
+		"zero seeds":  func() error { _, err := FromRows(1, 4, 0, nil, nil); return err },
+		"row count":   func() error { _, err := FromRows(1, 4, 0, []uint64{1}, rows(7, 4)); return err },
+		"row width":   func() error { _, err := FromRows(1, 4, 0, []uint64{1}, rows(8, 3)); return err },
+		"duplicate":   func() error { _, err := FromRows(1, 4, 0, []uint64{1, 1}, rows(16, 4)); return err },
+		"matrix size": func() error { _, err := FromMatrix(1, 4, 8, 0, []uint64{1}, make([]uint8, 31)); return err },
+	} {
+		if try() == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	in := rows(16, 4)
+	enr, err := FromRows(9, 4, 2, []uint64{5, 6}, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in[9][0] = 99 // the rows are copied
+	got, err := enr.Reference(6, 1, func(int) bool { return true })
+	if err != nil || got[0] != 9 || enr.ChipID() != 9 || enr.Epoch() != 2 {
+		t.Fatalf("row (6, 1) = %v, %v; chip=%d epoch=%d", got, err, enr.ChipID(), enr.Epoch())
 	}
 }

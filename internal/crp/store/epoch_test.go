@@ -266,6 +266,58 @@ func TestKillAfterTransitionStagingLostRetires(t *testing.T) {
 	}
 }
 
+// TestCommitRenameFailureRetiresLiveStore: the staged file vanishes
+// between StageEpoch and Commit, so Commit fails after its transition
+// record is durable. The live store must from then on behave exactly as a
+// reopen of its directory does — retired, awaiting the staged epoch, no
+// old-epoch seed ever handed out — and recover by re-enrollment.
+func TestCommitRenameFailureRetiresLiveStore(t *testing.T) {
+	dir := t.TempDir()
+	st := enrollN(t, dir, 4)
+	defer st.Close()
+	if err := st.Claim(1); err != nil {
+		t.Fatal(err)
+	}
+	dev := testDevice(t)
+	dev.SetEpoch(1)
+	staged, err := st.StageEpoch(dev, stageSeeds(1, 3), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, stagingFile)); err != nil {
+		t.Fatal(err)
+	}
+	if err := staged.Commit(); err == nil {
+		t.Fatal("Commit without its staged snapshot succeeded")
+	}
+	if !st.Retired() || st.AwaitingEpoch() != 1 || st.Remaining() != 0 {
+		t.Fatalf("after failed commit: retired=%v awaiting=%d remaining=%d, want true/1/0",
+			st.Retired(), st.AwaitingEpoch(), st.Remaining())
+	}
+	if seed, epoch, err := st.NextUnusedWithEpoch(); !errors.Is(err, ErrEpochRetired) {
+		t.Fatalf("NextUnusedWithEpoch after failed commit = (%d, %d, %v), want ErrEpochRetired", seed, epoch, err)
+	}
+	if err := st.Claim(2); !errors.Is(err, ErrEpochRetired) {
+		t.Fatalf("Claim after failed commit: %v, want ErrEpochRetired", err)
+	}
+
+	re, err := Open(dir, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !re.Retired() || re.AwaitingEpoch() != 1 {
+		t.Fatalf("reopen: retired=%v awaiting=%d, want true/1", re.Retired(), re.AwaitingEpoch())
+	}
+	re.Close()
+
+	if err := st.Reenroll(dev, stageSeeds(1, 3), 0); err != nil {
+		t.Fatalf("re-enrollment after failed commit: %v", err)
+	}
+	if st.Retired() || st.Epoch() != 1 || st.Remaining() != 3 {
+		t.Fatalf("after recovery: retired=%v epoch=%d remaining=%d", st.Retired(), st.Epoch(), st.Remaining())
+	}
+}
+
 // TestWALClaimsSplitByTransition: a crash between the cutover's rename and
 // its WAL reset leaves old-epoch claims AND the transition AND new-epoch
 // claims in one log, with the new snapshot live. Replay must skip

@@ -10,10 +10,10 @@ import (
 // This file is the WAL frame format's public face. The replicated claim
 // log (internal/attest/cluster) streams the store's durable claim records
 // between verifier shards, so the 16-byte frame defined in wal.go is a
-// wire format as well as a disk format. Exporting the encoder/decoder here
-// keeps both sides on one implementation: a frame a follower accepts is
-// bit-for-bit a frame openWAL would replay, and the PR6 frame-surgery
-// tests cover the replication path for free.
+// wire format as well as a disk format. The WAL itself encodes and decodes
+// through the functions here, so both sides share one implementation: a
+// frame a follower accepts is bit-for-bit a frame openWAL would replay, and
+// the store's frame-surgery tests cover the replication path for free.
 
 // WALFrameSize is the fixed size of every claim-log frame.
 const WALFrameSize = walRecordSize

@@ -9,6 +9,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+
+	"pufatt/internal/crp"
 )
 
 // The snapshot is the store's durable image of an enrollment: every seed,
@@ -58,7 +60,8 @@ var (
 )
 
 // snapshot is the decoded durable state: the immutable enrollment plus the
-// used-bitmap at the time it was written.
+// used-bitmap at the time it was written. It exists only at the codec
+// boundary; a live store holds a crp.Enrollment and crp.Claims.
 type snapshot struct {
 	chipID  int
 	bits    int
@@ -69,11 +72,21 @@ type snapshot struct {
 	flat    []uint8 // len(seeds)*refsPer*bits reference bytes, flat
 }
 
-// ref returns the reference response for seed index i, expansion j: a view
-// into the flat matrix.
-func (s *snapshot) ref(i, j int) []uint8 {
-	row := i*s.refsPer + j
-	return s.flat[row*s.bits : (row+1)*s.bits : (row+1)*s.bits]
+// snapshotOf is the durable image of an enrollment with the given used
+// flags (nil: none used yet). It shares the enrollment's slices.
+func snapshotOf(enr *crp.Enrollment, used []bool) *snapshot {
+	if used == nil {
+		used = make([]bool, enr.Len())
+	}
+	return &snapshot{
+		chipID:  enr.ChipID(),
+		bits:    enr.ResponseBits(),
+		refsPer: enr.RefsPer(),
+		epoch:   enr.Epoch(),
+		seeds:   enr.Seeds(),
+		used:    used,
+		flat:    enr.Matrix(),
+	}
 }
 
 // writeTo streams the snapshot in the format above.
@@ -214,6 +227,20 @@ func writeSnapshotFile(path string, s *snapshot, durable bool) error {
 	}
 	snapshotWrites.Inc()
 	return nil
+}
+
+// loadSnapshot reads the snapshot at path as an enrollment (adopting the
+// decoded matrix, no copy) plus its used flags.
+func loadSnapshot(path string) (*crp.Enrollment, []bool, error) {
+	s, err := readSnapshotFile(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	enr, err := crp.FromMatrix(s.chipID, s.bits, s.refsPer, s.epoch, s.seeds, s.flat)
+	if err != nil {
+		return nil, nil, fmt.Errorf("crpstore: %s: %w", path, err)
+	}
+	return enr, s.used, nil
 }
 
 // readSnapshotFile loads and validates the snapshot at path.

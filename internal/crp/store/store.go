@@ -1,15 +1,18 @@
 // Package store is the durable, concurrent-safe CRP enrollment store: the
 // verifier-side persistence layer for the paper's database verification
-// path. The in-memory crp.Database bounds a device's lifetime by the
-// enrollment effort and loses all claim state with the process; here the
-// enrolled reference responses live in a CRC-checked flat snapshot
-// (snapshot.go), claims append to a write-ahead log (wal.go), and periodic
-// compaction folds the log back into the snapshot — so single-use replay
-// protection survives restarts and crashes. A sharded Registry
-// (registry.go) scales the scheme across a fleet of devices with lazy
-// snapshot loading and an LRU of hot stores.
+// path. The layering is crp → store → cluster: package crp owns the
+// enrollment (crp.Enrollment: seeds, flat reference matrix, one measuring
+// path) and every claim rule (crp.Claims: claim, next-unused, remaining,
+// claimed-before-read, and their telemetry); this package adds only
+// durability. The enrolled references live in a CRC-checked flat snapshot
+// (snapshot.go), claims append to a write-ahead log (wal.go) between the
+// claim state's check and its mark, and periodic compaction folds the log
+// back into the snapshot — so single-use replay protection survives
+// restarts and crashes. A sharded Registry (registry.go) scales the scheme
+// across a fleet of devices with lazy snapshot loading and an LRU of hot
+// stores.
 //
-// Since PR 6 the store is epoch-aware: an enrollment belongs to one device
+// The store is epoch-aware: an enrollment belongs to one device
 // reconfiguration epoch (core.Device.SetEpoch), and a store can be
 // re-enrolled under a fresh epoch without ever resurrecting a consumed
 // seed. The cutover protocol (StageEpoch / StagedEpoch.Commit) is
@@ -29,7 +32,9 @@
 // transition record whose target epoch is newer than the live snapshot
 // completes the rename if the staged file survived, and otherwise opens
 // the store RETIRED — all claims fail with ErrEpochRetired (never serving
-// an old-epoch seed) until a re-enrollment installs the awaited epoch.
+// an old-epoch seed) until a re-enrollment installs the awaited epoch. A
+// live store whose Commit fails past the commit point ends in the same
+// state a reopen would find.
 package store
 
 import (
@@ -41,7 +46,6 @@ import (
 
 	"pufatt/internal/core"
 	"pufatt/internal/crp"
-	"pufatt/internal/obfuscate"
 )
 
 // Store file names inside a device directory.
@@ -96,28 +100,23 @@ func DefaultOptions() Options {
 	return Options{CompactEvery: 4096, MaxOpen: 256}
 }
 
-// Store is the durable CRP database of one device. It implements
-// core.ReferenceSource (reference lookups for the verifier pipeline) and
-// the claim surface of crp.Database (Claim, NextUnused, Remaining), with
-// every acknowledged claim logged before it takes effect. All methods are
-// safe for concurrent use.
+// Store is the durable CRP database of one device: a crp.Enrollment and
+// its crp.Claims, with every acknowledged claim logged before it takes
+// effect. It implements core.ReferenceSource and the claim surface of
+// crp.Database (Claim, NextUnused, Remaining). All methods are safe for
+// concurrent use.
 type Store struct {
 	dir  string
 	opts Options
 
 	mu         sync.Mutex
-	snap       *snapshot      // seeds/refs immutable; used == state at last compaction
-	index      map[uint64]int // seed → enrollment position
-	used       []bool         // live claim state (snapshot ∪ WAL ∪ this process)
-	unused     int
-	cursor     int
+	enr        *crp.Enrollment
+	claims     *crp.Claims // live claim state (snapshot ∪ WAL ∪ this process)
 	wal        *wal
 	walRecords int
-	epoch      uint32
-	// retired marks a store whose epoch-transition record committed but
-	// whose new enrollment was lost; awaiting is the epoch a re-enrollment
-	// must install (or exceed) to recover it.
-	retired  bool
+	// awaiting is the epoch a re-enrollment must install (or exceed) to
+	// recover a retired store — one whose epoch-transition record committed
+	// but whose new enrollment was lost. It is 0 for a live store.
 	awaiting uint32
 	closed   bool
 }
@@ -127,44 +126,44 @@ type Store struct {
 // epoch transition acknowledged before the last shutdown or crash is in
 // force again — in particular, no seed of a retired epoch is claimable.
 func Open(dir string, opts Options) (*Store, error) {
-	snap, err := readSnapshotFile(filepath.Join(dir, snapshotFile))
+	enr, used, err := loadSnapshot(filepath.Join(dir, snapshotFile))
 	if err != nil {
 		return nil, err
 	}
-	return openWith(dir, snap, opts)
+	return openWith(dir, enr, used, opts)
 }
 
 // lastTransition returns the index of the last epoch-transition record
 // (-1 when the WAL holds none).
-func lastTransition(recs []walRecord) int {
+func lastTransition(recs []WALFrame) int {
 	last := -1
 	for i, r := range recs {
-		if r.transition {
+		if r.Transition {
 			last = i
 		}
 	}
 	return last
 }
 
-// openWith wires a decoded snapshot to its WAL, running the epoch-cutover
-// crash recovery described in the package comment.
-func openWith(dir string, snap *snapshot, opts Options) (*Store, error) {
+// openWith wires an enrollment and its persisted used flags (nil for a
+// fresh enrollment) to its WAL, running the epoch-cutover crash recovery
+// described in the package comment.
+func openWith(dir string, enr *crp.Enrollment, used []bool, opts Options) (*Store, error) {
 	w, recs, err := openWAL(filepath.Join(dir, walFile), !opts.NoSync)
 	if err != nil {
 		return nil, err
 	}
 	staging := filepath.Join(dir, stagingFile)
-	retired := false
 	var awaiting uint32
 	last := lastTransition(recs)
 	switch {
-	case last >= 0 && recs[last].to > snap.epoch:
+	case last >= 0 && recs[last].To > enr.Epoch():
 		// The cutover committed (the transition record is durable) but the
 		// staged snapshot was never renamed into place. If it survived,
 		// finish the rename; if not, the old epoch is still retired — the
 		// store opens with every claim refused until re-enrollment.
-		staged, serr := readSnapshotFile(staging)
-		if serr == nil && staged.epoch == recs[last].to {
+		staged, stagedUsed, serr := loadSnapshot(staging)
+		if serr == nil && staged.Epoch() == recs[last].To {
 			if err := os.Rename(staging, filepath.Join(dir, snapshotFile)); err != nil {
 				w.close()
 				return nil, fmt.Errorf("crpstore: completing epoch cutover: %w", err)
@@ -172,11 +171,10 @@ func openWith(dir string, snap *snapshot, opts Options) (*Store, error) {
 			if !opts.NoSync {
 				syncDir(dir)
 			}
-			snap = staged
+			enr, used = staged, stagedUsed
 			epochRecoveries.Inc()
 		} else {
-			retired = true
-			awaiting = recs[last].to
+			awaiting = recs[last].To
 			epochRetiredOpens.Inc()
 		}
 	default:
@@ -190,56 +188,30 @@ func openWith(dir string, snap *snapshot, opts Options) (*Store, error) {
 	}
 
 	st := &Store{
-		dir:      dir,
-		opts:     opts,
-		snap:     snap,
-		index:    make(map[uint64]int, len(snap.seeds)),
-		used:     append([]bool(nil), snap.used...),
-		wal:      w,
-		epoch:    snap.epoch,
-		retired:  retired,
-		awaiting: awaiting,
+		dir:        dir,
+		opts:       opts,
+		enr:        enr,
+		claims:     crp.NewClaims(enr, used),
+		wal:        w,
+		walRecords: len(recs),
+		awaiting:   awaiting,
 	}
-	for i, seed := range snap.seeds {
-		if _, dup := st.index[seed]; dup {
-			w.close()
-			return nil, fmt.Errorf("crpstore: snapshot enrolls seed %#x twice", seed)
-		}
-		st.index[seed] = i
-	}
-	// Claim replay. Claims logged before the last transition record belong
-	// to a retired epoch: they are skipped wholesale (their seeds may not
-	// even exist in the live snapshot, and that is not corruption). Claims
-	// after it apply iff the live snapshot is the transition's target —
-	// the state a crash between the cutover's rename and its WAL reset
-	// leaves behind.
-	start := 0
-	if last >= 0 {
-		start = last + 1
-	}
-	if !retired {
-		for _, rec := range recs[start:] {
-			if rec.transition {
-				continue
-			}
-			i, ok := st.index[rec.seed]
-			if !ok {
+	if awaiting != 0 {
+		st.claims.Retire(ErrEpochRetired)
+	} else {
+		// Claim replay. Claims logged before the last transition record
+		// belong to a retired epoch: they are skipped wholesale (their seeds
+		// may not even exist in the live snapshot, and that is not
+		// corruption). Claims after it apply iff the live snapshot is the
+		// transition's target — the state a crash between the cutover's
+		// rename and its WAL reset leaves behind. A claim already marked in
+		// the snapshot is legal too: a crash between compaction's snapshot
+		// rename and its WAL truncation leaves the record in both places,
+		// and replay is idempotent.
+		for _, rec := range recs[last+1:] {
+			if !rec.Transition && !st.claims.Replay(rec.Seed) {
 				w.close()
-				return nil, fmt.Errorf("%w: WAL claims unenrolled seed %#x", ErrWALCorrupt, rec.seed)
-			}
-			// A claim already marked in the snapshot is legal: a crash between
-			// compaction's snapshot rename and its WAL truncation leaves the
-			// record in both places, and replay is idempotent.
-			if !st.used[i] {
-				st.used[i] = true
-			}
-		}
-	}
-	st.walRecords = len(recs)
-	if !retired {
-		for _, u := range st.used {
-			if !u {
-				st.unused++
+				return nil, fmt.Errorf("%w: WAL claims unenrolled seed %#x", ErrWALCorrupt, rec.Seed)
 			}
 		}
 	}
@@ -259,7 +231,7 @@ func syncDir(dir string) {
 // refuses to overwrite an existing enrollment: re-enrolling a device with
 // claims outstanding would resurrect consumed seeds (epoch cutovers go
 // through StageEpoch/Commit instead, which retire the old seeds first).
-func create(dir string, snap *snapshot, opts Options) (*Store, error) {
+func create(dir string, enr *crp.Enrollment, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -267,132 +239,60 @@ func create(dir string, snap *snapshot, opts Options) (*Store, error) {
 	if _, err := os.Stat(path); err == nil {
 		return nil, fmt.Errorf("crpstore: %s already holds an enrollment", dir)
 	}
-	if err := writeSnapshotFile(path, snap, !opts.NoSync); err != nil {
+	if err := writeSnapshotFile(path, snapshotOf(enr, nil), !opts.NoSync); err != nil {
 		return nil, err
 	}
-	enrolledSeeds.Add(uint64(len(snap.seeds)))
-	return openWith(dir, snap, opts)
+	return openWith(dir, enr, nil, opts)
 }
 
 // Create installs an enrollment from externally measured reference data
-// (an FPGA collection run, an import from another verifier): refs holds
-// len(seeds)*RefsPerSeed rows in seed-major order, each bits wide. The
-// enrollment is installed at epoch 0.
+// (see crp.FromRows): refs holds len(seeds)*8 rows in seed-major order,
+// each bits wide. The enrollment is installed at epoch 0.
 func Create(dir string, chipID, bits int, seeds []uint64, refs [][]uint8, opts Options) (*Store, error) {
-	refsPer := obfuscate.ResponsesPerOutput
-	if len(seeds) == 0 {
-		return nil, errors.New("crpstore: enrolling zero seeds")
-	}
-	if len(refs) != len(seeds)*refsPer {
-		return nil, fmt.Errorf("crpstore: %d reference rows for %d seeds (need %d per seed)",
-			len(refs), len(seeds), refsPer)
-	}
-	snap := &snapshot{
-		chipID:  chipID,
-		bits:    bits,
-		refsPer: refsPer,
-		seeds:   append([]uint64(nil), seeds...),
-		used:    make([]bool, len(seeds)),
-		flat:    make([]uint8, len(seeds)*refsPer*bits),
-	}
-	seen := make(map[uint64]struct{}, len(seeds))
-	for _, seed := range seeds {
-		if _, dup := seen[seed]; dup {
-			return nil, fmt.Errorf("crpstore: duplicate enrollment seed %#x", seed)
-		}
-		seen[seed] = struct{}{}
-	}
-	for k, row := range refs {
-		if len(row) != bits {
-			return nil, fmt.Errorf("crpstore: reference row %d is %d bits, want %d", k, len(row), bits)
-		}
-		copy(snap.flat[k*bits:(k+1)*bits], row)
-	}
-	return create(dir, snap, opts)
-}
-
-// measureSnapshot measures the device's noiseless reference responses for
-// every seed — fanning the len(seeds)×8 expanded challenges across the
-// parallel batch evaluator (workers ≤ 0 means GOMAXPROCS) — into a fresh
-// snapshot stamped with the device's current epoch.
-func measureSnapshot(dev *core.Device, seeds []uint64, workers int) (*snapshot, error) {
-	if len(seeds) == 0 {
-		return nil, errors.New("crpstore: enrolling zero seeds")
-	}
-	design := dev.Design()
-	bits := design.ResponseBits()
-	refsPer := obfuscate.ResponsesPerOutput
-	seen := make(map[uint64]struct{}, len(seeds))
-	for _, seed := range seeds {
-		if _, dup := seen[seed]; dup {
-			return nil, fmt.Errorf("crpstore: duplicate enrollment seed %#x", seed)
-		}
-		seen[seed] = struct{}{}
-	}
-
-	rows := len(seeds) * refsPer
-	challenges := core.ChallengeMatrix(design, rows)
-	for i, seed := range seeds {
-		for j := 0; j < refsPer; j++ {
-			design.ExpandChallengeInto(challenges[i*refsPer+j], seed, j)
-		}
-	}
-	snap := &snapshot{
-		chipID:  dev.ChipID(),
-		bits:    bits,
-		refsPer: refsPer,
-		epoch:   dev.Epoch(),
-		seeds:   append([]uint64(nil), seeds...),
-		used:    make([]bool, len(seeds)),
-		flat:    make([]uint8, rows*bits),
-	}
-	dst := make([][]uint8, rows)
-	for k := range dst {
-		dst[k] = snap.flat[k*bits : (k+1)*bits : (k+1)*bits]
-	}
-	core.NewBatchEvaluator(dev).NoiselessResponses(challenges, dst, workers)
-	return snap, nil
-}
-
-// Enroll measures the device's noiseless reference responses for every
-// seed and installs them as a durable enrollment in dir, stamped with the
-// device's current epoch. The batch responses land directly in the
-// snapshot's flat matrix: enrollment of a large seed set is one
-// allocation and one parallel sweep.
-func Enroll(dir string, dev *core.Device, seeds []uint64, workers int, opts Options) (*Store, error) {
-	snap, err := measureSnapshot(dev, seeds, workers)
+	enr, err := crp.FromRows(chipID, bits, 0, seeds, refs)
 	if err != nil {
 		return nil, err
 	}
-	return create(dir, snap, opts)
+	return create(dir, enr, opts)
+}
+
+// Enroll measures the device's noiseless reference responses for every
+// seed (crp.Measure, fanned across workers) and installs them as a durable
+// enrollment in dir, stamped with the device's current epoch.
+func Enroll(dir string, dev *core.Device, seeds []uint64, workers int, opts Options) (*Store, error) {
+	enr, err := crp.Measure(dev, seeds, workers)
+	if err != nil {
+		return nil, err
+	}
+	return create(dir, enr, opts)
 }
 
 // Dir returns the store's directory.
 func (st *Store) Dir() string { return st.dir }
 
-// ChipID returns the chip this store was enrolled for.
-func (st *Store) ChipID() int { return st.snap.chipID }
-
-// ResponseBits implements core.ReferenceSource.
-func (st *Store) ResponseBits() int { return st.snap.bits }
-
-// Len returns the number of enrolled seeds.
-func (st *Store) Len() int { return len(st.snap.seeds) }
-
-// Epoch returns the device reconfiguration epoch of the live enrollment.
-func (st *Store) Epoch() uint32 {
+// enrollment returns the live enrollment (swapped by epoch cutovers).
+func (st *Store) enrollment() *crp.Enrollment {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.epoch
+	return st.enr
 }
 
+// ChipID returns the chip this store was enrolled for.
+func (st *Store) ChipID() int { return st.enrollment().ChipID() }
+
+// ResponseBits implements core.ReferenceSource.
+func (st *Store) ResponseBits() int { return st.enrollment().ResponseBits() }
+
+// Len returns the number of enrolled seeds.
+func (st *Store) Len() int { return st.enrollment().Len() }
+
+// Epoch returns the device reconfiguration epoch of the live enrollment.
+func (st *Store) Epoch() uint32 { return st.enrollment().Epoch() }
+
 // Retired reports whether the store's epoch was retired with no live
-// successor (see ErrEpochRetired); AwaitingEpoch returns the epoch a
-// re-enrollment must reach to recover it (0 when not retired).
+// successor (see ErrEpochRetired).
 func (st *Store) Retired() bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.retired
+	return st.AwaitingEpoch() != 0
 }
 
 // AwaitingEpoch returns the committed cutover target a retired store is
@@ -408,30 +308,11 @@ func (st *Store) AwaitingEpoch() uint32 {
 // bypass replay protection.
 func (st *Store) ReferenceResponse(seed uint64, j int) ([]uint8, error) {
 	st.mu.Lock()
+	defer st.mu.Unlock()
 	if st.closed {
-		st.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if st.retired {
-		st.mu.Unlock()
-		return nil, ErrEpochRetired
-	}
-	snap := st.snap
-	i, ok := st.index[seed]
-	used := ok && st.used[i]
-	st.mu.Unlock()
-	if !ok {
-		return nil, crp.ErrUnknownSeed
-	}
-	if !used {
-		return nil, fmt.Errorf("crpstore: seed %#x not claimed before use", seed)
-	}
-	if j < 0 || j >= snap.refsPer {
-		return nil, fmt.Errorf("crpstore: reference index %d out of range", j)
-	}
-	referenceLookups.Inc()
-	// Reference rows are immutable after enrollment: the view needs no lock.
-	return snap.ref(i, j), nil
+	return st.claims.Reference(seed, j)
 }
 
 // Claim durably marks a seed as consumed: the claim record is on disk (in
@@ -441,43 +322,28 @@ func (st *Store) ReferenceResponse(seed uint64, j int) ([]uint8, error) {
 func (st *Store) Claim(seed uint64) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.claimLocked(seed)
-}
-
-func (st *Store) claimLocked(seed uint64) error {
 	if st.closed {
 		return ErrClosed
 	}
-	if st.retired {
-		claims.With("retired").Inc()
-		return ErrEpochRetired
-	}
-	i, ok := st.index[seed]
-	if !ok {
-		claims.With("unknown").Inc()
-		return crp.ErrUnknownSeed
-	}
-	if st.used[i] {
-		claims.With("replay").Inc()
-		return crp.ErrSeedUsed
-	}
-	// Log before acknowledging: if the append fails (or the process dies
-	// inside it) the caller never saw the claim succeed, and a replayed
-	// torn tail drops it — the failure mode errs toward a seed being
-	// claimed on disk but unacknowledged, never the reverse.
-	if err := st.wal.append(seed); err != nil {
+	if err := st.claims.Claim(seed, st.wal.append); err != nil {
 		return err
 	}
-	st.used[i] = true
-	st.unused--
+	st.logged()
+	return nil
+}
+
+// logged accounts one acknowledged claim record. The claim state's log
+// hook (the WAL append) ran before the mark: if the append fails (or the
+// process dies inside it) the caller never saw the claim succeed, and a
+// replayed torn tail drops it — the failure mode errs toward a seed being
+// claimed on disk but unacknowledged, never the reverse.
+func (st *Store) logged() {
 	st.walRecords++
-	claims.With("ok").Inc()
 	if st.opts.CompactEvery > 0 && st.walRecords >= st.opts.CompactEvery {
 		// The claim itself is already durable and acknowledged; a failed
 		// fold only defers compaction to the next trigger.
 		_ = st.compactLocked()
 	}
-	return nil
 }
 
 // NextUnused durably claims and returns the next unused seed in enrollment
@@ -498,24 +364,11 @@ func (st *Store) NextUnusedWithEpoch() (uint64, uint32, error) {
 	if st.closed {
 		return 0, 0, ErrClosed
 	}
-	if st.retired {
-		claims.With("retired").Inc()
-		return 0, st.epoch, ErrEpochRetired
+	seed, err := st.claims.Next(st.wal.append)
+	if err == nil {
+		st.logged()
 	}
-	for st.cursor < len(st.snap.seeds) {
-		seed := st.snap.seeds[st.cursor]
-		if st.used[st.index[seed]] {
-			st.cursor++
-			continue
-		}
-		if err := st.claimLocked(seed); err != nil {
-			return 0, st.epoch, err
-		}
-		st.cursor++
-		return seed, st.epoch, nil
-	}
-	claims.With("exhausted").Inc()
-	return 0, st.epoch, crp.ErrExhausted
+	return seed, st.enr.Epoch(), err
 }
 
 // Remaining returns how many authentications the store still supports
@@ -523,10 +376,7 @@ func (st *Store) NextUnusedWithEpoch() (uint64, uint32, error) {
 func (st *Store) Remaining() int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.retired {
-		return 0
-	}
-	return st.unused
+	return st.claims.Remaining()
 }
 
 // WALRecords returns the number of records currently in the WAL — the
@@ -547,7 +397,7 @@ func (st *Store) Compact() error {
 	if st.closed {
 		return ErrClosed
 	}
-	if st.retired {
+	if st.awaiting != 0 {
 		// Nothing to fold: a retired store's claim state is terminal and
 		// fully described by the WAL's transition record, which must
 		// survive until re-enrollment.
@@ -557,15 +407,7 @@ func (st *Store) Compact() error {
 }
 
 func (st *Store) compactLocked() error {
-	snap := &snapshot{
-		chipID:  st.snap.chipID,
-		bits:    st.snap.bits,
-		refsPer: st.snap.refsPer,
-		epoch:   st.epoch,
-		seeds:   st.snap.seeds,
-		used:    append([]bool(nil), st.used...),
-		flat:    st.snap.flat,
-	}
+	snap := snapshotOf(st.enr, st.claims.Used())
 	if err := writeSnapshotFile(filepath.Join(st.dir, snapshotFile), snap, !st.opts.NoSync); err != nil {
 		return err
 	}
@@ -574,7 +416,6 @@ func (st *Store) compactLocked() error {
 	if err := st.wal.reset(); err != nil {
 		return err
 	}
-	st.snap = snap
 	st.walRecords = 0
 	compactions.Inc()
 	return nil
@@ -586,15 +427,15 @@ func (st *Store) compactLocked() error {
 // transition record is on disk, the old epoch keeps serving claims and a
 // crash changes nothing.
 type StagedEpoch struct {
-	st   *Store
-	snap *snapshot
+	st  *Store
+	enr *crp.Enrollment
 }
 
 // Epoch returns the staged enrollment's epoch.
-func (se *StagedEpoch) Epoch() uint32 { return se.snap.epoch }
+func (se *StagedEpoch) Epoch() uint32 { return se.enr.Epoch() }
 
 // Len returns the number of staged seeds.
-func (se *StagedEpoch) Len() int { return len(se.snap.seeds) }
+func (se *StagedEpoch) Len() int { return se.enr.Len() }
 
 // StageEpoch measures a re-enrollment for the device's CURRENT epoch —
 // the caller reconfigures the device (core.Device.SetEpoch) first — and
@@ -610,32 +451,45 @@ func (st *Store) StageEpoch(dev *core.Device, seeds []uint64, workers int) (*Sta
 		st.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if epoch <= st.epoch || (st.retired && epoch < st.awaiting) {
-		cur, retired, awaiting := st.epoch, st.retired, st.awaiting
-		st.mu.Unlock()
-		if retired {
-			return nil, fmt.Errorf("%w: staged %d, store retired at %d awaiting %d",
-				ErrEpochOrder, epoch, cur, awaiting)
-		}
-		return nil, fmt.Errorf("%w: staged %d, store at %d", ErrEpochOrder, epoch, cur)
-	}
+	err := st.epochOrderLocked(epoch)
 	st.mu.Unlock()
-
-	snap, err := measureSnapshot(dev, seeds, workers)
 	if err != nil {
 		return nil, err
 	}
-	if err := writeSnapshotFile(filepath.Join(st.dir, stagingFile), snap, !st.opts.NoSync); err != nil {
+
+	enr, err := crp.Measure(dev, seeds, workers)
+	if err != nil {
+		return nil, err
+	}
+	if err := writeSnapshotFile(filepath.Join(st.dir, stagingFile), snapshotOf(enr, nil), !st.opts.NoSync); err != nil {
 		return nil, err
 	}
 	epochStagings.Inc()
-	return &StagedEpoch{st: st, snap: snap}, nil
+	return &StagedEpoch{st: st, enr: enr}, nil
+}
+
+// epochOrderLocked refuses an epoch that does not advance the store's, or
+// that stops short of a retired store's awaited epoch.
+func (st *Store) epochOrderLocked(epoch uint32) error {
+	cur := st.enr.Epoch()
+	switch {
+	case st.awaiting != 0 && epoch < st.awaiting:
+		return fmt.Errorf("%w: staged %d, store retired at %d awaiting %d",
+			ErrEpochOrder, epoch, cur, st.awaiting)
+	case epoch <= cur:
+		return fmt.Errorf("%w: staged %d, store at %d", ErrEpochOrder, epoch, cur)
+	}
+	return nil
 }
 
 // Commit performs the epoch cutover: transition record (the durable
 // commit point — from here the old epoch is retired), snapshot rename,
 // WAL reset, in-memory swap. Claims are serialised against the cutover by
-// the store lock, so every claim lands entirely in one epoch.
+// the store lock, so every claim lands entirely in one epoch. Once the
+// transition record is durable the old epoch is never served again: a
+// failed rename leaves the store retired, awaiting the staged epoch
+// (exactly what a reopen finds), and a failed WAL reset after a good
+// rename still installs the new epoch.
 func (se *StagedEpoch) Commit() error {
 	st := se.st
 	st.mu.Lock()
@@ -643,39 +497,32 @@ func (se *StagedEpoch) Commit() error {
 	if st.closed {
 		return ErrClosed
 	}
-	if se.snap.epoch <= st.epoch || (st.retired && se.snap.epoch < st.awaiting) {
-		return fmt.Errorf("%w: committing %d, store at %d", ErrEpochOrder, se.snap.epoch, st.epoch)
-	}
-	// Log before acknowledge: the transition record makes the retirement
-	// of the old epoch durable before anything else changes. A crash
-	// after this append and before the rename opens the store retired —
-	// old seeds unclaimable — and recovers from the staging file.
-	if err := st.wal.appendTransition(st.epoch, se.snap.epoch); err != nil {
+	next := se.enr.Epoch()
+	if err := st.epochOrderLocked(next); err != nil {
 		return err
 	}
+	// Log before acknowledge: the transition record makes the retirement
+	// of the old epoch durable before anything else changes.
+	if err := st.wal.appendTransition(st.enr.Epoch(), next); err != nil {
+		return err
+	}
+	st.walRecords++
 	if err := os.Rename(filepath.Join(st.dir, stagingFile), filepath.Join(st.dir, snapshotFile)); err != nil {
+		st.claims.Retire(ErrEpochRetired)
+		st.awaiting = next
 		return fmt.Errorf("crpstore: installing epoch snapshot: %w", err)
 	}
 	if !st.opts.NoSync {
 		syncDir(st.dir)
 	}
-	if err := st.wal.reset(); err != nil {
-		return err
-	}
-	st.snap = se.snap
-	st.index = make(map[uint64]int, len(se.snap.seeds))
-	for i, seed := range se.snap.seeds {
-		st.index[seed] = i
-	}
-	st.used = make([]bool, len(se.snap.seeds))
-	st.unused = len(se.snap.seeds)
-	st.cursor = 0
-	st.walRecords = 0
-	st.epoch = se.snap.epoch
-	st.retired = false
-	st.awaiting = 0
-	enrolledSeeds.Add(uint64(len(se.snap.seeds)))
+	st.enr, st.claims, st.awaiting = se.enr, crp.NewClaims(se.enr, nil), 0
 	epochTransitions.Inc()
+	// The new epoch is live. A failed reset leaves the old claims and the
+	// transition in the WAL, which replay skips as retired-epoch history;
+	// the next compaction empties it, as after any failed fold.
+	if st.wal.reset() == nil {
+		st.walRecords = 0
+	}
 	return nil
 }
 

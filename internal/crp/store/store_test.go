@@ -42,40 +42,33 @@ func enrollN(t *testing.T, dir string, n int) *Store {
 	return st
 }
 
-func TestEnrollMatchesInMemoryDatabase(t *testing.T) {
+// TestEnrollMatchesScalarEngine checks the batch-measured durable
+// enrollment against the scalar reference engine, row by row: every
+// expansion of every seed must equal Device.NoiselessResponse.
+func TestEnrollMatchesScalarEngine(t *testing.T) {
 	dev := testDevice(t)
 	seeds := []uint64{3, 14, 159, 2653}
-	db, err := crp.Enroll(dev, seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
 	st, err := Enroll(t.TempDir(), dev, seeds, 4, testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if st.ChipID() != dev.ChipID() || st.Len() != db.Len() ||
-		st.ResponseBits() != db.ResponseBits() {
+	if st.ChipID() != dev.ChipID() || st.Len() != len(seeds) ||
+		st.ResponseBits() != dev.Design().ResponseBits() {
 		t.Fatalf("shape mismatch: chip=%d len=%d bits=%d", st.ChipID(), st.Len(), st.ResponseBits())
 	}
 	for _, seed := range seeds {
-		if err := db.Claim(seed); err != nil {
-			t.Fatal(err)
-		}
 		if err := st.Claim(seed); err != nil {
 			t.Fatal(err)
 		}
 		for j := 0; j < obfuscate.ResponsesPerOutput; j++ {
-			want, err := db.ReferenceResponse(seed, j)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := dev.NoiselessResponse(dev.Design().ExpandChallenge(seed, j))
 			got, err := st.ReferenceResponse(seed, j)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want) {
-				t.Fatalf("seed %d ref %d: durable enrollment disagrees with in-memory", seed, j)
+				t.Fatalf("seed %d ref %d: durable enrollment disagrees with the scalar engine", seed, j)
 			}
 		}
 	}
@@ -83,17 +76,21 @@ func TestEnrollMatchesInMemoryDatabase(t *testing.T) {
 
 func TestEnrollDeterministicAcrossWorkerCounts(t *testing.T) {
 	seeds := []uint64{1, 2, 3, 4, 5, 6, 7}
-	st1, err := Enroll(t.TempDir(), testDevice(t), seeds, 1, testOptions())
-	if err != nil {
-		t.Fatal(err)
+	var snaps [][]byte
+	for _, workers := range []int{1, 8} {
+		dir := t.TempDir()
+		st, err := Enroll(dir, testDevice(t), seeds, workers, testOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Close()
+		b, err := os.ReadFile(filepath.Join(dir, snapshotFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps = append(snaps, b)
 	}
-	defer st1.Close()
-	st8, err := Enroll(t.TempDir(), testDevice(t), seeds, 8, testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st8.Close()
-	if !bytes.Equal(st1.snap.flat, st8.snap.flat) {
+	if !bytes.Equal(snaps[0], snaps[1]) {
 		t.Fatal("enrollment depends on worker count")
 	}
 }

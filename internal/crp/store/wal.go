@@ -1,10 +1,8 @@
 package store
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 )
@@ -52,14 +50,6 @@ const (
 // damage no torn final append can explain.
 var ErrWALCorrupt = errors.New("crpstore: claim WAL corrupted")
 
-// walRecord is one decoded WAL record: a claim (transition == false, seed
-// set) or an epoch transition (transition == true, from/to set).
-type walRecord struct {
-	transition bool
-	seed       uint64
-	from, to   uint32
-}
-
 // wal is an append-only claim log over one file.
 type wal struct {
 	f    *os.File
@@ -69,7 +59,7 @@ type wal struct {
 // openWAL opens (creating if absent) the claim log, validates it, and
 // returns every durable record in append order. A torn tail is truncated
 // away; interior corruption is an error.
-func openWAL(path string, sync bool) (*wal, []walRecord, error) {
+func openWAL(path string, sync bool) (*wal, []WALFrame, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("crpstore: opening claim WAL: %w", err)
@@ -79,24 +69,14 @@ func openWAL(path string, sync bool) (*wal, []walRecord, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("crpstore: reading claim WAL: %w", err)
 	}
-	var recs []walRecord
+	var recs []WALFrame
 	valid := 0
 	for valid+walRecordSize <= len(data) {
-		rec := data[valid : valid+walRecordSize]
-		magic := binary.LittleEndian.Uint32(rec[0:4])
-		if (magic != walMagic && magic != walEpochMagic) ||
-			binary.LittleEndian.Uint32(rec[12:16]) != crc32.ChecksumIEEE(rec[0:12]) {
+		rec, err := DecodeWALFrame(data[valid : valid+walRecordSize])
+		if err != nil {
 			break
 		}
-		if magic == walEpochMagic {
-			recs = append(recs, walRecord{
-				transition: true,
-				from:       binary.LittleEndian.Uint32(rec[4:8]),
-				to:         binary.LittleEndian.Uint32(rec[8:12]),
-			})
-		} else {
-			recs = append(recs, walRecord{seed: binary.LittleEndian.Uint64(rec[4:12])})
-		}
+		recs = append(recs, rec)
 		valid += walRecordSize
 	}
 	if tail := len(data) - valid; tail > walRecordSize {
@@ -123,9 +103,8 @@ func openWAL(path string, sync bool) (*wal, []walRecord, error) {
 // appendRecord writes one 16-byte frame. The record is on disk (and, in
 // sync mode, fsynced) before appendRecord returns; only then may the
 // operation it logs be acknowledged.
-func (w *wal) appendRecord(rec [walRecordSize]byte, what string) error {
-	binary.LittleEndian.PutUint32(rec[12:16], crc32.ChecksumIEEE(rec[0:12]))
-	if _, err := w.f.Write(rec[:]); err != nil {
+func (w *wal) appendRecord(rec []byte, what string) error {
+	if _, err := w.f.Write(rec); err != nil {
 		return fmt.Errorf("crpstore: appending %s: %w", what, err)
 	}
 	if w.sync {
@@ -138,22 +117,13 @@ func (w *wal) appendRecord(rec [walRecordSize]byte, what string) error {
 }
 
 // append logs one claim.
-func (w *wal) append(seed uint64) error {
-	var rec [walRecordSize]byte
-	binary.LittleEndian.PutUint32(rec[0:4], walMagic)
-	binary.LittleEndian.PutUint64(rec[4:12], seed)
-	return w.appendRecord(rec, "claim")
-}
+func (w *wal) append(seed uint64) error { return w.appendRecord(ClaimFrame(seed), "claim") }
 
 // appendTransition logs one epoch transition — the durable commit point of
 // a cutover. From the moment this record is on disk, epoch `from` is
 // retired and none of its seeds may ever be claimed again.
 func (w *wal) appendTransition(from, to uint32) error {
-	var rec [walRecordSize]byte
-	binary.LittleEndian.PutUint32(rec[0:4], walEpochMagic)
-	binary.LittleEndian.PutUint32(rec[4:8], from)
-	binary.LittleEndian.PutUint32(rec[8:12], to)
-	return w.appendRecord(rec, "epoch transition")
+	return w.appendRecord(TransitionFrame(from, to), "epoch transition")
 }
 
 // reset empties the log after its claims have been folded into a snapshot.

@@ -7,7 +7,8 @@
 # race-detected parallel batch-evaluation packages plus a targeted
 # determinism smoke across the packages that fan work out to goroutines,
 # the distributed verifier tier (failover, replication lag, admission),
-# and the shutdown/leak regression suite.
+# the shutdown/leak regression suite, and the benchmark module (perfbench/
+# is a separate Go module that the root `go test ./...` never builds).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -64,5 +65,8 @@ go test -race -run 'GuardConn|ServerDrain|ServerClose|ServerSerialises|RegistryE
 
 echo "== go test -race observability v4 suite (profiler ring single-flight, runtime collector, cluster span stitching, canary prober, queue-wait alert chain)"
 go test -race -run 'Profiler|SanitizeTrigger|RuntimeCollector|GCPauseRule|AlertTriggersProfileCapture|ClusterSpanStitching|ReplLagGauge|Prober|ProbeDead|QueueWaitAlert|ClusterAdminRoutes|RenderProbes|FetchSnapshotProbes' ./internal/telemetry ./internal/attest ./internal/attest/cluster ./cmd/pufatt-top
+
+echo "== perfbench: go vet ./... && go test ./... (separate benchmark module)"
+(cd perfbench && go vet ./... && go test ./...)
 
 echo "verify: OK"
