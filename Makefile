@@ -35,10 +35,10 @@ vet:
 # The attestation robustness tests (drop/corrupt/truncate/delay/duplicate
 # fault classes, retry, quarantine), the telemetry layer (tracer ring,
 # journal, health registry, admin endpoints under concurrent sweeps), the
-# CRP database/store claim paths, and the parallel batch-evaluation
-# packages under the race detector.
+# CRP database/store claim paths, the parallel batch-evaluation packages,
+# and the prover's PUF port under the race detector.
 race:
-	$(GO) test -race ./internal/attest/... ./internal/telemetry/... ./internal/crp/... ./internal/sim/... ./internal/core/... ./internal/experiments/...
+	$(GO) test -race ./internal/attest/... ./internal/telemetry/... ./internal/crp/... ./internal/sim/... ./internal/core/... ./internal/experiments/... ./internal/mcu/...
 
 verify:
 	./scripts/verify.sh

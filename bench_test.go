@@ -175,6 +175,48 @@ func BenchmarkAttestationProtocol(b *testing.B) {
 	b.ReportMetric(verifier.Delta()*1e3, "delta-ms")
 }
 
+// BenchmarkAttestationSessionFleet is one attestation session at the
+// fleet benchmark's geometry (perfbench fleet-emulated): a 512-word image
+// with a 64-word payload, 2 chunks of 2 blocks, Mix32 operand expansion.
+// Both sides of the session run single-lane PUF evaluations — the prover's
+// voted queries and the verifier's emulation — so this isolates the session
+// hot path from the cluster tier.
+func BenchmarkAttestationSessionFleet(b *testing.B) {
+	params := swatt.Params{MemWords: 512, Chunks: 2, BlocksPerChunk: 2, PRG: swatt.PRGMix32}
+	dev := core.MustNewDevice(core.MustNewDesign(core.DefaultConfig()), rng.New(12), 0)
+	port := mcu.MustNewDevicePort(dev)
+	payload := make([]uint32, 64)
+	words := rng.New(13)
+	for i := range payload {
+		payload[i] = words.Uint32()
+	}
+	image, err := swatt.BuildImage(params, payload)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prover := attest.NewProver(image.Clone(), port, 1)
+	prover.TuneClock(0.98)
+	verifier, err := attest.NewVerifier(image, dev.Emulator(), prover.FreqHz, port.Votes)
+	if err != nil {
+		b.Fatal(err)
+	}
+	link := attest.DefaultLink()
+	verifier.AllowNetwork(link)
+	accepted := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := attest.RunSession(verifier, prover, link)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Accepted {
+			accepted++
+		}
+	}
+	b.ReportMetric(float64(accepted)/float64(b.N), "accept-rate")
+}
+
 // BenchmarkAttestationProtocolProfiled re-runs the protocol hot path with
 // the continuous profiler in its two steady states: "armed" (capture ring
 // enabled and the periodic ticker running at the default one-minute
@@ -282,7 +324,7 @@ func BenchmarkAblationTimingEngines(b *testing.B) {
 	src := rng.New(21)
 
 	b.Run("levelized", func(b *testing.B) {
-		eng := sim.NewEngine(nl, tab)
+		eng := sim.NewEngine(sim.Compile(nl), tab)
 		for i := 0; i < b.N; i++ {
 			src.Bits(in)
 			eng.Run(in)
@@ -738,6 +780,32 @@ func BenchmarkEmulatorRespond(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		em.Respond(ch)
+	}
+}
+
+// BenchmarkDevicePortFeed is one add-in-PUF-mode query on the prover side:
+// a 5-vote clocked majority at the tuned clock, syndrome generation, and
+// (every eighth query) the obfuscation network.
+func BenchmarkDevicePortFeed(b *testing.B) {
+	dev := core.MustNewDevice(core.MustNewDesign(core.DefaultConfig()), rng.New(34), 0)
+	port := mcu.MustNewDevicePort(dev)
+	port.SetClock(port.MaxReliableFreqHz() * 0.98)
+	ops := rng.New(35)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%8 == 0 {
+			if i > 0 {
+				if _, err := port.Finish(); err != nil {
+					b.Fatal(err)
+				}
+				port.DrainHelpers()
+			}
+			port.Begin()
+		}
+		if _, err := port.Feed(ops.Uint32(), ops.Uint32()); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -44,15 +44,18 @@ const batchChunk = 32
 // determinism contract (per-item noise streams, any worker count).
 type BatchEvaluator struct {
 	dev   *Device
-	pool  *sim.Pool       // scalar engines (EngineGate)
-	spool *sim.SlicedPool // bitsliced engines (EngineBitslice), lazy
+	pool  *sim.Pool       // single-lane engines (EngineGate)
+	spool *sim.SlicedPool // bitsliced engines (EngineBitslice)
 }
 
-// NewBatchEvaluator returns a batch evaluator over the device.
+// NewBatchEvaluator returns a batch evaluator over the device. Its engine
+// pools build engines on first use.
 func NewBatchEvaluator(dev *Device) *BatchEvaluator {
+	tab := dev.tables[dev.cond]
 	return &BatchEvaluator{
-		dev:  dev,
-		pool: sim.NewPool(dev.design.datapath.Net, dev.tables[dev.cond]),
+		dev:   dev,
+		pool:  sim.NewPool(dev.design.prog, tab),
+		spool: sim.NewSlicedPool(dev.design.prog, tab),
 	}
 }
 
@@ -246,14 +249,6 @@ func (be *BatchEvaluator) runGate(challenges, dst [][]uint8, workers, votes int,
 	}
 }
 
-// slicedPool returns the lazily created bitsliced engine pool.
-func (be *BatchEvaluator) slicedPool() *sim.SlicedPool {
-	if be.spool == nil {
-		be.spool = sim.NewSlicedPool(be.dev.design.datapath.Net, be.dev.tables[be.dev.cond])
-	}
-	return be.spool
-}
-
 // runSliced is the bitsliced fan-out: workers claim whole 64-lane blocks,
 // transpose the block's challenges into lane words, run one levelized pass
 // for all lanes, extract per-lane arbiter deltas, then draw each item's
@@ -267,7 +262,7 @@ func (be *BatchEvaluator) runSliced(challenges, dst [][]uint8, workers, votes in
 	if workers > blocks {
 		workers = blocks
 	}
-	pool := be.slicedPool()
+	pool := be.spool
 	pool.SetDelays(tab)
 	var next atomic.Int64
 	work := func(eng *sim.SlicedEngine) {
@@ -341,7 +336,7 @@ func (be *BatchEvaluator) runSliced(challenges, dst [][]uint8, workers, votes in
 func extractLaneDeltas(dev *Device, eng *sim.SlicedEngine, deltas []float64, bcast *[2][sim.Lanes]float64) {
 	bits := dev.design.ResponseBits()
 	for i := 0; i < bits; i++ {
-		a0, a1 := dev.design.datapath.Pair(i)
+		a0, a1 := dev.design.pair0[i], dev.design.pair1[i]
 		skew := dev.design.skewPs[i]
 		l0 := eng.ArrivalLanes(a0)
 		if l0 == nil {
@@ -423,14 +418,13 @@ func (be *BatchEvaluator) runLinear(challenges, dst [][]uint8, workers, votes in
 	}
 }
 
-// evalOne measures one challenge into out using the worker-local engine,
-// vote counter, delta scratch, and (already reinitialised) noise stream. It
-// is the batch analogue of Device.RawResponse/NoiselessResponse/
-// MajorityResponse and must stay in lockstep with them physically: same
-// arrival deltas, same jitter model, same majority rule. It runs one
-// levelized pass, extracts the per-bit deltas, and hands them to the shared
-// noise/threshold stage — the same stage the bitsliced and linear paths
-// feed, which is what makes all engines' noisy outputs comparable
+// evalOne measures one challenge into out using the given single-lane
+// engine, vote counter, delta scratch, and (already positioned) noise
+// stream. It serves the scalar batch workers and, on the device's own engine
+// and rolling stream, Device.RawResponse/NoiselessResponse/MajorityResponse.
+// It runs one levelized pass, extracts the per-bit deltas, and hands them to
+// the shared noise/threshold stage — the same stage the bitsliced and linear
+// paths feed, which is what makes all engines' noisy outputs comparable
 // term-for-term.
 func evalOne(dev *Device, eng *sim.Engine, challenge, out []uint8, counts []int, deltas, nbuf []float64, noise *rng.Source, jitter float64, votes int, noisy bool) {
 	_, arr := eng.Run(challenge)
@@ -446,8 +440,7 @@ func evalOne(dev *Device, eng *sim.Engine, challenge, out []uint8, counts []int,
 // delta is deltas[i*stride+lane]: stride 1 for scalar layouts, sim.Lanes for
 // lane-major bitsliced blocks. The engine pass behind the deltas is
 // deterministic, so one pass serves every vote — only the arbiter noise
-// differs (the sequential MajorityResponse re-runs the engine per vote; the
-// physics is identical, this just skips votes−1 redundant passes).
+// differs, and the draws keep the order of votes sequential raw responses.
 //
 // The jitter draws are buffered into nbuf (len = response bits) before the
 // threshold pass: the draw order is unchanged, but the Norm calls run in a

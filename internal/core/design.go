@@ -27,6 +27,7 @@ import (
 	"pufatt/internal/delay"
 	"pufatt/internal/netlist"
 	"pufatt/internal/rng"
+	"pufatt/internal/sim"
 	"pufatt/internal/variation"
 )
 
@@ -110,7 +111,13 @@ func (c Config) validate() error {
 type Design struct {
 	cfg      Config
 	datapath *netlist.PUFDatapath
-	model    *delay.Model
+	// prog is the datapath compiled once for every engine over it: device
+	// engines, emulators and batch pools.
+	prog  *sim.Program
+	model *delay.Model
+	// pair0[i], pair1[i] are the nets whose race produces response bit i
+	// (datapath.Pair, resolved once for the per-query loops).
+	pair0, pair1 []int
 	// skewPs[i] is the fixed design-level skew added to ALU 1's arrival
 	// for response bit i (may be negative).
 	skewPs []float64
@@ -136,8 +143,13 @@ func NewDesign(cfg Config) (*Design, error) {
 		}),
 		model: delay.NewModel(cfg.Tech),
 	}
+	d.prog = sim.Compile(d.datapath.Net)
 	skewSrc := rng.New(cfg.DesignSeed).Sub("layout-skew")
 	bits := d.datapath.ResponseBits()
+	d.pair0, d.pair1 = make([]int, bits), make([]int, bits)
+	for i := range d.pair0 {
+		d.pair0[i], d.pair1[i] = d.datapath.Pair(i)
+	}
 	d.skewPs = make([]float64, bits)
 	for i := range d.skewPs {
 		depth := float64(minInt(i, cfg.Width-1) + 1)
@@ -249,12 +261,20 @@ func (d *Design) ExpandChallengeInto(dst []uint8, seed uint64, j int) []uint8 {
 // ChallengeFromOperands builds a challenge bit-vector from two operand
 // words.
 func (d *Design) ChallengeFromOperands(a, b uint64) []uint8 {
-	ch := make([]uint8, 2*d.cfg.Width)
-	for i := 0; i < d.cfg.Width; i++ {
-		ch[i] = uint8(a >> uint(i) & 1)
-		ch[d.cfg.Width+i] = uint8(b >> uint(i) & 1)
+	return d.ChallengeFromOperandsInto(make([]uint8, 2*d.cfg.Width), a, b)
+}
+
+// ChallengeFromOperandsInto is ChallengeFromOperands into caller-owned
+// storage of length ChallengeBits.
+func (d *Design) ChallengeFromOperandsInto(dst []uint8, a, b uint64) []uint8 {
+	if len(dst) != 2*d.cfg.Width {
+		panic(fmt.Sprintf("core: challenge buffer of %d bits, want %d", len(dst), 2*d.cfg.Width))
 	}
-	return ch
+	for i := 0; i < d.cfg.Width; i++ {
+		dst[i] = uint8(a >> uint(i) & 1)
+		dst[d.cfg.Width+i] = uint8(b >> uint(i) & 1)
+	}
+	return dst
 }
 
 func minInt(a, b int) int {

@@ -24,9 +24,20 @@ type Device struct {
 	// jitterScale converts the configured nominal jitter to the current
 	// corner (slower corner → proportionally larger arrival jitter).
 	jitterScale float64
-	// challenge buffer reused across queries.
-	inBuf, respBuf []uint8
-	queries        uint64
+	// response scratch reused across queries: the response, the per-bit
+	// arrival deltas, jitter draws, vote counts and, on the clocked path,
+	// which bits miss the latch deadline.
+	respBuf  []uint8
+	deltaBuf []float64
+	noiseBuf []float64
+	countBuf []int
+	lateBuf  []bool
+	queries  uint64
+	// critPs caches CriticalPathPs for the current delay table; critOK is
+	// cleared by every table change (SetConditions, which the aging and
+	// epoch rebuilds go through).
+	critPs float64
+	critOK bool
 	// extraSkewPs is optional per-bit skew (FPGA board routing + PDL).
 	extraSkewPs []float64
 	// agingVth accumulates per-gate BTI drift (see aging.go); agingSrc
@@ -74,8 +85,11 @@ func NewDevice(d *Design, master *rng.Source, chipID int) (*Device, error) {
 		// mutable noise stream, so epoch overlays are a pure function of
 		// (master seed, chipID, epoch) — reproducible for audit.
 		epochRoot: master.SubN("device/epoch", chipID),
-		inBuf:     make([]uint8, 2*d.cfg.Width),
 		respBuf:   make([]uint8, d.ResponseBits()),
+		deltaBuf:  make([]float64, d.ResponseBits()),
+		noiseBuf:  make([]float64, d.ResponseBits()),
+		countBuf:  make([]int, d.ResponseBits()),
+		lateBuf:   make([]bool, d.ResponseBits()),
 	}
 	dev.SetConditions(delay.Nominal())
 	return dev, nil
@@ -104,7 +118,9 @@ func (dev *Device) Queries() uint64 { return dev.queries }
 func (dev *Device) Conditions() delay.Conditions { return dev.cond }
 
 // SetConditions moves the device to an operating corner (supply voltage and
-// temperature), rebuilding (or reusing a cached) delay table.
+// temperature), rebuilding (or reusing a cached) delay table. Every change of
+// the device's delay table passes through here, including the aging and
+// epoch rebuilds (reloadTables).
 func (dev *Device) SetConditions(cond delay.Conditions) {
 	dev.cond = cond
 	tab, ok := dev.tables[cond]
@@ -113,10 +129,11 @@ func (dev *Device) SetConditions(cond delay.Conditions) {
 		dev.tables[cond] = tab
 	}
 	if dev.engine == nil {
-		dev.engine = sim.NewEngine(dev.design.datapath.Net, tab)
+		dev.engine = sim.NewEngine(dev.design.prog, tab)
 	} else {
 		dev.engine.SetDelays(tab)
 	}
+	dev.critOK = false
 	dev.jitterScale = dev.design.model.InverterDelay(cond) / dev.design.model.InverterDelay(delay.Nominal())
 }
 
@@ -124,7 +141,7 @@ func (dev *Device) SetConditions(cond delay.Conditions) {
 // (ALU1 + design skew + per-device extra skew) − ALU0 given the engine's
 // last run.
 func (dev *Device) arrivalDelta(arr []float64, i int) float64 {
-	a0, a1 := dev.design.datapath.Pair(i)
+	a0, a1 := dev.design.pair0[i], dev.design.pair1[i]
 	d := arr[a1] + dev.design.skewPs[i] - arr[a0]
 	if dev.extraSkewPs != nil {
 		d += dev.extraSkewPs[i]
@@ -157,21 +174,20 @@ func (dev *Device) ExtraSkewPs() []float64 { return dev.extraSkewPs }
 // RawResponses, whose rows are caller-owned. TestRawResponseAliasingContract
 // enforces this.
 func (dev *Device) RawResponse(challenge []uint8) []uint8 {
-	arr := dev.arrivals(challenge)
-	jitter := dev.design.cfg.JitterPs * dev.jitterScale
-	for i := range dev.respBuf {
-		d := dev.arrivalDelta(arr, i)
-		if jitter > 0 {
-			d += dev.noise.NormMS(0, jitter)
-		}
-		if d > 0 {
-			dev.respBuf[i] = 1
-		} else {
-			dev.respBuf[i] = 0
-		}
-	}
-	dev.queries++
+	dev.respond(dev.respBuf, challenge, 1, true)
 	return dev.respBuf
+}
+
+// respond measures the challenge into out through the batch layer's
+// single-item path (evalOne) on the device's own engine and rolling noise
+// stream: one engine pass, then votes-fold majority with noise redrawn per
+// vote, in the order of votes sequential RawResponse calls. Each vote
+// counts as one PUF query.
+func (dev *Device) respond(out, challenge []uint8, votes int, noisy bool) {
+	dev.checkChallenge(challenge)
+	jitter := dev.design.cfg.JitterPs * dev.jitterScale
+	evalOne(dev, dev.engine, challenge, out, dev.countBuf, dev.deltaBuf, dev.noiseBuf, dev.noise, jitter, votes, noisy)
+	dev.queries += uint64(votes)
 }
 
 // RawResponseCopy is RawResponse into freshly allocated storage.
@@ -187,19 +203,8 @@ func (dev *Device) MajorityResponse(challenge []uint8, votes int) []uint8 {
 	if votes < 1 || votes%2 == 0 {
 		panic(fmt.Sprintf("core: majority votes %d must be odd and positive", votes))
 	}
-	counts := make([]int, dev.design.ResponseBits())
-	for v := 0; v < votes; v++ {
-		r := dev.RawResponse(challenge)
-		for i, bit := range r {
-			counts[i] += int(bit)
-		}
-	}
-	out := make([]uint8, len(counts))
-	for i, c := range counts {
-		if 2*c > votes {
-			out[i] = 1
-		}
-	}
+	out := make([]uint8, dev.design.ResponseBits())
+	dev.respond(out, challenge, votes, true)
 	return out
 }
 
@@ -207,24 +212,21 @@ func (dev *Device) MajorityResponse(challenge []uint8, votes int) []uint8 {
 // idealised expected response at the current corner. Enrollment and
 // emulation use it at the nominal corner.
 func (dev *Device) NoiselessResponse(challenge []uint8) []uint8 {
-	arr := dev.arrivals(challenge)
 	out := make([]uint8, dev.design.ResponseBits())
-	for i := range out {
-		if dev.arrivalDelta(arr, i) > 0 {
-			out[i] = 1
-		}
-	}
-	dev.queries++
+	dev.respond(out, challenge, 1, false)
 	return out
 }
 
 func (dev *Device) arrivals(challenge []uint8) []float64 {
+	dev.checkChallenge(challenge)
+	_, arr := dev.engine.Run(challenge)
+	return arr
+}
+
+func (dev *Device) checkChallenge(challenge []uint8) {
 	if len(challenge) != 2*dev.design.cfg.Width {
 		panic(fmt.Sprintf("core: challenge of %d bits, want %d", len(challenge), 2*dev.design.cfg.Width))
 	}
-	copy(dev.inBuf, challenge)
-	_, arr := dev.engine.Run(dev.inBuf)
-	return arr
 }
 
 // ArrivalDeltas returns the per-bit arrival-time differences for a
@@ -242,10 +244,17 @@ func (dev *Device) ArrivalDeltas(challenge []uint8) []float64 {
 // CriticalPathPs returns the static worst-case propagation delay T_ALU of
 // the PUF datapath at the current corner: the topological longest path,
 // ignoring logical masking. The overclocking condition of Section 4.2 is
-// T_ALU + T_set < T_cycle.
+// T_ALU + T_set < T_cycle. The value is cached per delay table.
 func (dev *Device) CriticalPathPs() float64 {
-	nl := dev.design.datapath.Net
-	tab := dev.tables[dev.cond]
+	if !dev.critOK {
+		dev.critPs = criticalPathPs(dev.design.datapath.Net, dev.tables[dev.cond])
+		dev.critOK = true
+	}
+	return dev.critPs
+}
+
+// criticalPathPs is the topological longest-path walk behind CriticalPathPs.
+func criticalPathPs(nl *netlist.Netlist, tab delay.Table) float64 {
 	arr := make([]float64, len(nl.Gates))
 	worst := 0.0
 	for _, g := range nl.Order {
@@ -272,35 +281,64 @@ func (dev *Device) CriticalPathPs() float64 {
 // returned slice aliases the device buffer; valid reports how many bits
 // latched cleanly.
 func (dev *Device) ClockedResponse(challenge []uint8, tCyclePs, tSetupPs float64) (resp []uint8, valid int) {
+	valid = dev.ClockedMajorityResponse(dev.respBuf, challenge, 1, tCyclePs, tSetupPs)
+	return dev.respBuf, valid
+}
+
+// ClockedMajorityResponse writes into dst the bitwise majority of votes
+// clocked measurements of the challenge (votes odd), exactly as votes
+// sequential ClockedResponse calls would measure them: the engine runs once
+// — the arrivals are deterministic, only the latching differs per vote —
+// and then each vote draws per bit, in ascending bit order, arbiter jitter
+// for bits that latch in time or a metastable resolution for late ones.
+// Each vote counts as one PUF query. valid reports how many bits latch
+// cleanly (the same for every vote).
+func (dev *Device) ClockedMajorityResponse(dst, challenge []uint8, votes int, tCyclePs, tSetupPs float64) (valid int) {
+	if votes < 1 || votes%2 == 0 {
+		panic(fmt.Sprintf("core: majority votes %d must be odd and positive", votes))
+	}
 	arr := dev.arrivals(challenge)
 	jitter := dev.design.cfg.JitterPs * dev.jitterScale
 	deadline := tCyclePs - tSetupPs
-	for i := range dev.respBuf {
-		a0, a1 := dev.design.datapath.Pair(i)
+	for i := range dev.deltaBuf {
+		a0, a1 := dev.design.pair0[i], dev.design.pair1[i]
 		t0 := arr[a0]
 		t1 := arr[a1] + dev.design.skewPs[i]
 		if dev.extraSkewPs != nil {
 			t1 += dev.extraSkewPs[i]
 		}
-		if t0 <= deadline && t1 <= deadline {
-			d := t1 - t0
+		dev.deltaBuf[i] = t1 - t0
+		// Setup-time violation: the register samples an unresolved arbiter.
+		dev.lateBuf[i] = !(t0 <= deadline && t1 <= deadline)
+		if !dev.lateBuf[i] {
+			valid++
+		}
+		dev.countBuf[i] = 0
+	}
+	for v := 0; v < votes; v++ {
+		for i, late := range dev.lateBuf {
+			if late {
+				dev.countBuf[i] += int(dev.noise.Bit())
+				continue
+			}
+			d := dev.deltaBuf[i]
 			if jitter > 0 {
 				d += dev.noise.NormMS(0, jitter)
 			}
 			if d > 0 {
-				dev.respBuf[i] = 1
-			} else {
-				dev.respBuf[i] = 0
+				dev.countBuf[i]++
 			}
-			valid++
-		} else {
-			// Setup-time violation: the register samples an unresolved
-			// arbiter.
-			dev.respBuf[i] = dev.noise.Bit()
 		}
 	}
-	dev.queries++
-	return dev.respBuf, valid
+	for i, c := range dev.countBuf {
+		var bit uint8
+		if 2*c > votes {
+			bit = 1
+		}
+		dst[i] = bit
+	}
+	dev.queries += uint64(votes)
+	return valid
 }
 
 // MinReliableCyclePs returns the smallest clock period at which every
@@ -310,7 +348,7 @@ func (dev *Device) MinReliableCyclePs(challenge []uint8, tSetupPs float64) float
 	arr := dev.arrivals(challenge)
 	worst := 0.0
 	for i := 0; i < dev.design.ResponseBits(); i++ {
-		a0, a1 := dev.design.datapath.Pair(i)
+		a0, a1 := dev.design.pair0[i], dev.design.pair1[i]
 		if arr[a0] > worst {
 			worst = arr[a0]
 		}

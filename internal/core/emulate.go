@@ -44,7 +44,7 @@ func NewEmulator(d *Design, m *Model) *Emulator {
 	return &Emulator{
 		design: d,
 		model:  m,
-		engine: sim.NewEngine(d.datapath.Net, m.Table),
+		engine: sim.NewEngine(d.prog, m.Table),
 		inBuf:  make([]uint8, 2*d.cfg.Width),
 	}
 }
@@ -60,11 +60,10 @@ func (e *Emulator) Respond(challenge []uint8) []uint8 {
 	if len(challenge) != 2*e.design.cfg.Width {
 		panic(fmt.Sprintf("core: challenge of %d bits, want %d", len(challenge), 2*e.design.cfg.Width))
 	}
-	copy(e.inBuf, challenge)
-	_, arr := e.engine.Run(e.inBuf)
+	_, arr := e.engine.Run(challenge)
 	out := make([]uint8, e.design.ResponseBits())
 	for i := range out {
-		a0, a1 := e.design.datapath.Pair(i)
+		a0, a1 := e.design.pair0[i], e.design.pair1[i]
 		if arr[a1]+e.model.SkewPs[i]-arr[a0] > 0 {
 			out[i] = 1
 		}

@@ -101,28 +101,33 @@ func engineScenarios() []engineScenario {
 }
 
 // TestBitsliceMatchesGateAllModes is the cross-engine equivalence contract:
-// for every device state and worker count, the bitsliced engine's raw,
-// noiseless and majority-voted response matrices are byte-identical to the
-// scalar gate-level engine's. Twin devices share seed and chip ID, and both
+// for every device state and worker count, the bitsliced engine's and the
+// single-lane gate engine's raw, noiseless and majority-voted response
+// matrices are byte-identical to an independent oracle — the gate engine
+// over the design's generic program, i.e. the per-gate walker, never the
+// fused kernels under test. Twin devices share seed and chip ID, and all
 // run the modes in the same order, so their batch noise epochs stay aligned.
 func TestBitsliceMatchesGateAllModes(t *testing.T) {
 	workerCounts := []int{1, 4, 16}
 	for _, sc := range engineScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
 			for _, workers := range workerCounts {
-				mk := func(engine EvalEngine) *Device {
-					dev := MustNewDevice(MustNewDesign(sc.cfg()), rng.New(303), 0)
+				mk := func(engine EvalEngine, generic bool) *Device {
+					d := MustNewDesign(sc.cfg())
+					if generic {
+						d.prog = d.prog.Generic()
+					}
+					dev := MustNewDevice(d, rng.New(303), 0)
 					if sc.prep != nil {
 						sc.prep(dev)
 					}
 					dev.SetEvalEngine(engine)
 					return dev
 				}
-				gate := mk(EngineGate)
-				sliced := mk(EngineBitslice)
+				oracle := mk(EngineGate, true)
 				// 130 challenges: two full 64-lane blocks plus a short tail
 				// block, so tail-lane masking is always exercised.
-				ch := batchChallenges(gate.Design(), 130, 304)
+				ch := batchChallenges(oracle.Design(), 130, 304)
 				run := func(dev *Device) [][][]uint8 {
 					return [][][]uint8{
 						dev.RawResponses(ch, workers),
@@ -130,13 +135,16 @@ func TestBitsliceMatchesGateAllModes(t *testing.T) {
 						dev.MajorityResponses(ch, 5, workers),
 					}
 				}
-				want, got := run(gate), run(sliced)
-				modes := []string{"raw", "noiseless", "majority5"}
-				for m := range want {
-					for k := range want[m] {
-						if !bytes.Equal(want[m][k], got[m][k]) {
-							t.Fatalf("%s workers=%d row %d: bitslice %v, gate %v",
-								modes[m], workers, k, got[m][k], want[m][k])
+				want := run(oracle)
+				for _, engine := range []EvalEngine{EngineGate, EngineBitslice} {
+					got := run(mk(engine, false))
+					modes := []string{"raw", "noiseless", "majority5"}
+					for m := range want {
+						for k := range want[m] {
+							if !bytes.Equal(want[m][k], got[m][k]) {
+								t.Fatalf("%s %s workers=%d row %d: %v, generic walker %v",
+									engine, modes[m], workers, k, got[m][k], want[m][k])
+							}
 						}
 					}
 				}

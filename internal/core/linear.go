@@ -145,7 +145,7 @@ func FitLinearModel(dev *Device, cfg LinearModelConfig) (*LinearModel, error) {
 	dim := 1 + 4*width
 
 	src := rng.New(dev.design.cfg.DesignSeed).SubN("linear-model/fit", dev.chip.ID())
-	eng := sim.NewEngine(dev.design.datapath.Net, dev.tables[dev.cond])
+	eng := sim.NewEngine(dev.design.prog, dev.tables[dev.cond])
 
 	// Accumulate the full Gram matrix and per-bit cross vectors in one pass;
 	// each bit's normal equations are then a window-indexed submatrix.

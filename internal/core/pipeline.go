@@ -103,7 +103,7 @@ type ReferenceSource interface {
 
 // ReferenceResponse implements ReferenceSource by emulating the device.
 func (e *Emulator) ReferenceResponse(seed uint64, j int) ([]uint8, error) {
-	return e.Respond(e.design.ExpandChallenge(seed, j)), nil
+	return e.Respond(e.design.ExpandChallengeInto(e.inBuf, seed, j)), nil
 }
 
 // ResponseBits implements ReferenceSource.

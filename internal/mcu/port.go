@@ -46,7 +46,8 @@ type DevicePort struct {
 
 	active    bool
 	count     int
-	responses [][]uint8
+	responses [][]uint8 // one voted response per query, reused across PUF() calls
+	chBuf     []uint8
 	helpers   []uint64
 	z         uint32
 	meta      *rng.Source // metastable latch resolution under the monitor
@@ -63,14 +64,20 @@ func NewDevicePort(dev *core.Device) (*DevicePort, error) {
 	if bits > 32 {
 		return nil, fmt.Errorf("mcu: %d-bit responses exceed the 32-bit pend register", bits)
 	}
+	responses := make([][]uint8, obfuscate.ResponsesPerOutput)
+	for i := range responses {
+		responses[i] = make([]uint8, bits)
+	}
 	return &DevicePort{
-		dev:     dev,
-		sketch:  ecc.NewSketch(code),
-		net:     obfuscate.MustNew(bits),
-		Votes:   5,
-		SetupPs: 20,
-		CyclePs: 2000,
-		meta:    rng.New(0x19e7a57ab1e ^ uint64(dev.ChipID())),
+		dev:       dev,
+		sketch:    ecc.NewSketch(code),
+		net:       obfuscate.MustNew(bits),
+		Votes:     5,
+		SetupPs:   20,
+		CyclePs:   2000,
+		responses: responses,
+		chBuf:     make([]uint8, dev.Design().ChallengeBits()),
+		meta:      rng.New(0x19e7a57ab1e ^ uint64(dev.ChipID())),
 	}, nil
 }
 
@@ -91,9 +98,9 @@ func (p *DevicePort) SetClock(freqHz float64) {
 	p.CyclePs = 1e12 / freqHz
 }
 
-// MinReliableFreqMarginHz returns the highest CPU frequency at which the
-// PUF datapath still settles within a cycle (critical path + setup), i.e.
-// the boundary frequency F_{ALU+set} of Section 4.2.
+// MaxReliableFreqHz returns the highest CPU frequency at which the PUF
+// datapath still settles within a cycle (critical path + setup), i.e. the
+// boundary frequency F_{ALU+set} of Section 4.2.
 func (p *DevicePort) MaxReliableFreqHz() float64 {
 	return 1e12 / (p.dev.CriticalPathPs() + p.SetupPs)
 }
@@ -102,7 +109,6 @@ func (p *DevicePort) MaxReliableFreqHz() float64 {
 func (p *DevicePort) Begin() {
 	p.active = true
 	p.count = 0
-	p.responses = p.responses[:0]
 }
 
 // Feed implements PUFPort: one add-in-PUF-mode query.
@@ -113,33 +119,20 @@ func (p *DevicePort) Feed(a, b uint32) (uint64, error) {
 	if p.count >= obfuscate.ResponsesPerOutput {
 		return 0, fmt.Errorf("mcu: more than %d PUF queries before pend", obfuscate.ResponsesPerOutput)
 	}
-	ch := p.dev.Design().ChallengeFromOperands(uint64(a), uint64(b))
-	bits := p.dev.Design().ResponseBits()
-	y := make([]uint8, bits)
+	y := p.responses[p.count]
 	if p.CyclePs < p.dev.CriticalPathPs()+p.SetupPs {
 		// Worst-case timing monitor violated: the latch enable misfires
 		// and all bits sample metastable arbiters.
 		p.meta.Bits(y)
 	} else {
-		counts := make([]int, bits)
-		for v := 0; v < p.Votes; v++ {
-			r, _ := p.dev.ClockedResponse(ch, p.CyclePs, p.SetupPs)
-			for i, bit := range r {
-				counts[i] += int(bit)
-			}
-		}
-		for i, ccount := range counts {
-			if 2*ccount > p.Votes {
-				y[i] = 1
-			}
-		}
+		ch := p.dev.Design().ChallengeFromOperandsInto(p.chBuf, uint64(a), uint64(b))
+		p.dev.ClockedMajorityResponse(y, ch, p.Votes, p.CyclePs, p.SetupPs)
 	}
 	h, err := p.sketch.Generate(y)
 	if err != nil {
 		return 0, err
 	}
 	p.helpers = append(p.helpers, h)
-	p.responses = append(p.responses, y)
 	p.count++
 	// Each vote occupies one clock of the race plus one latch cycle.
 	return uint64(p.Votes) + 1, nil

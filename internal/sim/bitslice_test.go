@@ -24,8 +24,14 @@ func transposeInputs(challenges [][]uint8, nIn int) []uint64 {
 	return words
 }
 
-// assertBlockMatchesScalar runs the same block through the scalar and sliced
-// engines and compares every gate's value and arrival bit-for-bit per lane.
+// newOracle returns a single-lane engine running the generic per-gate walk:
+// the independent reference every fused kernel is compared against.
+func newOracle(nl *netlist.Netlist, tab delay.Table) *Engine {
+	return NewEngine(Compile(nl).Generic(), tab)
+}
+
+// assertBlockMatchesScalar runs the same block through the generic scalar
+// walker and the sliced engine and compares every gate's value and arrival bit-for-bit per lane.
 func assertBlockMatchesScalar(t *testing.T, nl *netlist.Netlist, tab delay.Table, scalar *Engine, sliced *SlicedEngine, challenges [][]uint8) {
 	t.Helper()
 	for _, g := range nl.Outputs {
@@ -70,8 +76,8 @@ func TestSlicedMatchesScalarPUFDatapath(t *testing.T) {
 	dp := netlist.BuildPUFDatapath(netlist.PUFDatapathConfig{Width: 32, UseCarry: true})
 	nl := dp.Net
 	tab := randomTable(nl, rng.New(11))
-	scalar := NewEngine(nl, tab)
-	sliced := NewSlicedEngine(nl, tab)
+	scalar := newOracle(nl, tab)
+	sliced := NewSlicedEngine(Compile(nl), tab)
 	if !sliced.Fused() {
 		t.Fatal("RCA PUF datapath did not compile to the fused carry-chain program")
 	}
@@ -86,8 +92,8 @@ func TestSlicedMatchesScalarCLADatapath(t *testing.T) {
 	dp := netlist.BuildPUFDatapath(netlist.PUFDatapathConfig{Width: 16, Adder: netlist.AdderCLA})
 	nl := dp.Net
 	tab := randomTable(nl, rng.New(21))
-	scalar := NewEngine(nl, tab)
-	sliced := NewSlicedEngine(nl, tab)
+	scalar := newOracle(nl, tab)
+	sliced := NewSlicedEngine(Compile(nl), tab)
 	if sliced.Fused() {
 		t.Fatal("CLA datapath unexpectedly matched the ripple-carry program")
 	}
@@ -110,8 +116,8 @@ func TestSlicedMatchesScalarStandaloneAdders(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tab := randomTable(tc.nl, rng.New(31))
-			scalar := NewEngine(tc.nl, tab)
-			sliced := NewSlicedEngine(tc.nl, tab)
+			scalar := newOracle(tc.nl, tab)
+			sliced := NewSlicedEngine(Compile(tc.nl), tab)
 			src := rng.New(32)
 			assertBlockMatchesScalar(t, tc.nl, tab, scalar, sliced,
 				randomChallenges(src, Lanes, len(tc.nl.Inputs)))
@@ -153,8 +159,8 @@ func TestSlicedMatchesScalarRandomNetlists(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		nl := randomNetlist(src, 60)
 		tab := randomTable(nl, src)
-		scalar := NewEngine(nl, tab)
-		sliced := NewSlicedEngine(nl, tab)
+		scalar := newOracle(nl, tab)
+		sliced := NewSlicedEngine(Compile(nl), tab)
 		assertBlockMatchesScalar(t, nl, tab, scalar, sliced,
 			randomChallenges(src, Lanes, len(nl.Inputs)))
 	}
@@ -165,8 +171,8 @@ func TestSlicedSetDelaysAndClone(t *testing.T) {
 	nl := dp.Net
 	tabA := randomTable(nl, rng.New(51))
 	tabB := randomTable(nl, rng.New(52))
-	scalar := NewEngine(nl, tabA)
-	sliced := NewSlicedEngine(nl, tabA)
+	scalar := newOracle(nl, tabA)
+	sliced := NewSlicedEngine(Compile(nl), tabA)
 	src := rng.New(53)
 	assertBlockMatchesScalar(t, nl, tabA, scalar, sliced,
 		randomChallenges(src, Lanes, len(nl.Inputs)))
@@ -177,7 +183,7 @@ func TestSlicedSetDelaysAndClone(t *testing.T) {
 	sliced.SetDelays(tabB)
 	assertBlockMatchesScalar(t, nl, tabB, scalar, sliced,
 		randomChallenges(src, Lanes, len(nl.Inputs)))
-	scalarA := NewEngine(nl, tabA)
+	scalarA := newOracle(nl, tabA)
 	assertBlockMatchesScalar(t, nl, tabA, scalarA, clone,
 		randomChallenges(src, Lanes, len(nl.Inputs)))
 }
@@ -187,7 +193,7 @@ func TestSlicedPoolReuseAndSetDelays(t *testing.T) {
 	nl := dp.Net
 	tabA := randomTable(nl, rng.New(61))
 	tabB := randomTable(nl, rng.New(62))
-	p := NewSlicedPool(nl, tabA)
+	p := NewSlicedPool(Compile(nl), tabA)
 	e1 := p.Get()
 	e2 := p.Get()
 	p.Put(e1)
@@ -200,7 +206,7 @@ func TestSlicedPoolReuseAndSetDelays(t *testing.T) {
 	p.Put(e1)
 	p.Put(e2)
 	p.SetDelays(tabB)
-	scalar := NewEngine(nl, tabB)
+	scalar := newOracle(nl, tabB)
 	src := rng.New(63)
 	for i := 0; i < 2; i++ {
 		e := p.Get()
@@ -213,7 +219,7 @@ func TestSlicedPoolReuseAndSetDelays(t *testing.T) {
 func BenchmarkSlicedBlockRCA(b *testing.B) {
 	dp := netlist.BuildPUFDatapath(netlist.PUFDatapathConfig{Width: 32, UseCarry: true})
 	nl := dp.Net
-	eng := NewSlicedEngine(nl, randomTable(nl, rng.New(71)))
+	eng := NewSlicedEngine(Compile(nl), randomTable(nl, rng.New(71)))
 	src := rng.New(72)
 	words := make([]uint64, len(nl.Inputs))
 	for i := range words {
@@ -232,7 +238,7 @@ func BenchmarkSlicedBlockRCA(b *testing.B) {
 func BenchmarkSlicedBlockCLA(b *testing.B) {
 	dp := netlist.BuildPUFDatapath(netlist.PUFDatapathConfig{Width: 32, UseCarry: true, Adder: netlist.AdderCLA})
 	nl := dp.Net
-	eng := NewSlicedEngine(nl, randomTable(nl, rng.New(73)))
+	eng := NewSlicedEngine(Compile(nl), randomTable(nl, rng.New(73)))
 	src := rng.New(74)
 	words := make([]uint64, len(nl.Inputs))
 	for i := range words {

@@ -4,12 +4,11 @@ import (
 	"sync"
 
 	"pufatt/internal/delay"
-	"pufatt/internal/netlist"
 )
 
-// Pool hands out levelized Engines over one shared netlist/delay-table pair
-// for parallel batch evaluation. Engines are cloned on demand (shared
-// immutable netlist, private scratch) and returned to a free list on Put, so
+// Pool hands out single-lane Engines over one compiled program and delay
+// table for parallel batch evaluation. Engines are built on demand (shared
+// immutable program, private scratch) and returned to a free list on Put, so
 // a steady-state batch workload allocates nothing per batch: worker counts
 // settle after the first batch and every later Get is a free-list pop.
 //
@@ -17,17 +16,19 @@ import (
 // which keeps Get/Put deterministic and the engine count observable
 // (telemetry gauge sim_pool_idle_engines).
 type Pool struct {
-	mu    sync.Mutex
-	proto *Engine
-	free  []*Engine
+	mu     sync.Mutex
+	prog   *Program
+	delays delay.Table
+	free   []*Engine
 }
 
-// NewPool returns a pool of engines over the netlist/delay-table pair.
-func NewPool(nl *netlist.Netlist, delays delay.Table) *Pool {
-	return &Pool{proto: NewEngine(nl, delays)}
+// NewPool returns a pool of engines over the program and delay table.
+func NewPool(p *Program, delays delay.Table) *Pool {
+	p.checkDelays(delays)
+	return &Pool{prog: p, delays: delays}
 }
 
-// Get returns an engine, reusing a pooled clone when one is free. The caller
+// Get returns an engine, reusing a pooled one when one is free. The caller
 // owns it until Put. Engines keep whatever delay table they last ran with;
 // callers that sweep operating corners must SetDelays after Get.
 func (p *Pool) Get() *Engine {
@@ -41,8 +42,10 @@ func (p *Pool) Get() *Engine {
 		poolIdle.Add(-1)
 		return e
 	}
+	delays := p.delays
 	p.mu.Unlock()
-	return p.proto.Clone()
+	engineClones.Inc()
+	return NewEngine(p.prog, delays)
 }
 
 // Put returns an engine to the free list for reuse. Only engines obtained
@@ -51,7 +54,7 @@ func (p *Pool) Put(e *Engine) {
 	if e == nil {
 		return
 	}
-	if e.nl != p.proto.nl {
+	if e.prog.nl != p.prog.nl {
 		panic("sim: Put of an engine from a different netlist")
 	}
 	p.mu.Lock()
@@ -60,13 +63,14 @@ func (p *Pool) Put(e *Engine) {
 	poolIdle.Add(1)
 }
 
-// SetDelays replaces the delay table handed to engines cloned from now on
+// SetDelays replaces the delay table handed to engines built from now on
 // and on every currently pooled engine (engines checked out keep their old
 // table until their next SetDelays).
 func (p *Pool) SetDelays(delays delay.Table) {
+	p.prog.checkDelays(delays)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.proto.SetDelays(delays)
+	p.delays = delays
 	for _, e := range p.free {
 		e.SetDelays(delays)
 	}
@@ -80,4 +84,4 @@ func (p *Pool) Idle() int {
 }
 
 // GatesPerRun returns the per-Run gate count of the pool's engines.
-func (p *Pool) GatesPerRun() int { return p.proto.GatesPerRun() }
+func (p *Pool) GatesPerRun() int { return p.prog.GatesPerRun() }

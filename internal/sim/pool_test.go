@@ -10,7 +10,7 @@ import (
 
 func TestCloneMatchesOriginal(t *testing.T) {
 	nl := netlist.BuildRCANetlist(8)
-	eng := NewEngine(nl, randomTable(nl, rng.New(1)))
+	eng := NewEngine(Compile(nl), randomTable(nl, rng.New(1)))
 	clone := eng.Clone()
 	src := rng.New(2)
 	in := make([]uint8, len(nl.Inputs))
@@ -30,7 +30,7 @@ func TestCloneMatchesOriginal(t *testing.T) {
 func TestClonesRunConcurrently(t *testing.T) {
 	nl := netlist.BuildRCANetlist(16)
 	tab := randomTable(nl, rng.New(3))
-	eng := NewEngine(nl, tab)
+	eng := NewEngine(Compile(nl), tab)
 	// Reference values computed sequentially.
 	const n = 64
 	ins := make([][]uint8, n)
@@ -73,7 +73,7 @@ func TestClonesRunConcurrently(t *testing.T) {
 // silently start retaining them — this test pins the contract both ways.
 func TestRunAliasingContract(t *testing.T) {
 	nl := netlist.BuildRCANetlist(8)
-	eng := NewEngine(nl, unitDelays(nl))
+	eng := NewEngine(Compile(nl), unitDelays(nl))
 	in := make([]uint8, len(nl.Inputs))
 	v1, a1 := eng.Run(in)
 	firstVals := append([]uint8(nil), v1...)
@@ -99,7 +99,7 @@ func TestRunAliasingContract(t *testing.T) {
 
 func TestPoolReusesEngines(t *testing.T) {
 	nl := netlist.BuildRCANetlist(8)
-	p := NewPool(nl, randomTable(nl, rng.New(5)))
+	p := NewPool(Compile(nl), randomTable(nl, rng.New(5)))
 	e1 := p.Get()
 	e2 := p.Get()
 	if e1 == e2 {
@@ -121,7 +121,7 @@ func TestPoolReusesEngines(t *testing.T) {
 
 func TestPoolSetDelaysReachesPooledEngines(t *testing.T) {
 	nl := netlist.BuildRCANetlist(4)
-	p := NewPool(nl, unitDelays(nl))
+	p := NewPool(Compile(nl), unitDelays(nl))
 	e := p.Get()
 	p.Put(e)
 	tab := randomTable(nl, rng.New(6))
@@ -132,7 +132,7 @@ func TestPoolSetDelaysReachesPooledEngines(t *testing.T) {
 		in[i] = 1
 	}
 	_, arr := e.Run(in)
-	ref := NewEngine(nl, tab)
+	ref := NewEngine(Compile(nl), tab)
 	_, want := ref.Run(in)
 	for g := range arr {
 		if arr[g] != want[g] {
@@ -144,11 +144,11 @@ func TestPoolSetDelaysReachesPooledEngines(t *testing.T) {
 func TestPoolRejectsForeignEngine(t *testing.T) {
 	nlA := netlist.BuildRCANetlist(4)
 	nlB := netlist.BuildRCANetlist(8)
-	p := NewPool(nlA, unitDelays(nlA))
+	p := NewPool(Compile(nlA), unitDelays(nlA))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Put of a foreign engine did not panic")
 		}
 	}()
-	p.Put(NewEngine(nlB, unitDelays(nlB)))
+	p.Put(NewEngine(Compile(nlB), unitDelays(nlB)))
 }

@@ -1,13 +1,14 @@
-// Package sim provides the two gate-level timing engines used to evaluate
-// the ALU PUF.
+// Package sim provides the gate-level timing engines used to evaluate the
+// ALU PUF.
 //
-// The levelized engine (Arrival) performs floating-mode arrival-time
-// analysis in a single topological pass: for every net it computes both its
-// Boolean value and the time at which that value becomes determined, taking
-// controlling values into account (an AND output is determined as soon as
-// its earliest 0-input arrives). This is the engine used for bulk
-// challenge/response generation — the paper evaluates 10^6 challenges per
-// experiment — because it is allocation-free per query and an order of
+// The levelized engines perform floating-mode arrival-time analysis in a
+// single topological pass: for every net they compute both its Boolean value
+// and the time at which that value becomes determined, taking controlling
+// values into account (an AND output is determined as soon as its earliest
+// 0-input arrives). A netlist is compiled once into a Program (program.go),
+// which both levelized engines run: Engine one challenge per pass (the
+// attestation session path), SlicedEngine 64 challenges per pass (the batch
+// path, bitslice.go). They are allocation-free per query and orders of
 // magnitude faster than event-driven simulation.
 //
 // The event-driven engine (EventSim) is a classic inertial-delay logic
@@ -28,39 +29,45 @@ import (
 	"pufatt/internal/netlist"
 )
 
-// Engine computes values and arrival times for a fixed netlist/delay-table
-// pair using the levelized floating-mode analysis. It reuses internal
-// buffers across calls; an Engine is not safe for concurrent use.
+// Engine runs the compiled levelized floating-mode analysis one challenge
+// per Run (lane width 1) over a fixed program/delay-table pair. Fused
+// programs run the ripple-carry kernel (faLane); others the generic
+// per-gate walk. It reuses internal buffers across calls; an Engine is not
+// safe for concurrent use.
 type Engine struct {
-	nl      *netlist.Netlist
-	delays  delay.Table
-	values  []uint8
+	prog   *Program
+	delays delay.Table
+	values []uint8
+	// arrival holds every net's arrival; the challenge-independent entries
+	// are written once per delay table (SetDelays), the rest by each Run.
 	arrival []float64
 }
 
-// NewEngine returns a levelized engine over the netlist with the given
-// per-gate delay table.
-func NewEngine(nl *netlist.Netlist, delays delay.Table) *Engine {
-	if len(delays.Ps) != len(nl.Gates) {
-		panic(fmt.Sprintf("sim: delay table of %d entries for %d gates", len(delays.Ps), len(nl.Gates)))
+// NewEngine returns a single-lane engine over the compiled program with the
+// given per-gate delay table.
+func NewEngine(p *Program, delays delay.Table) *Engine {
+	e := &Engine{
+		prog:    p,
+		values:  make([]uint8, len(p.nl.Gates)),
+		arrival: make([]float64, len(p.nl.Gates)),
 	}
-	return &Engine{
-		nl:      nl,
-		delays:  delays,
-		values:  make([]uint8, len(nl.Gates)),
-		arrival: make([]float64, len(nl.Gates)),
+	// Constants never change value; Run writes every other net's.
+	for g := range p.nl.Gates {
+		if p.nl.Gates[g].Kind == netlist.Const1 {
+			e.values[g] = 1
+		}
 	}
+	e.SetDelays(delays)
+	return e
 }
 
 // SetDelays replaces the delay table (e.g. for a new operating corner).
 func (e *Engine) SetDelays(delays delay.Table) {
-	if len(delays.Ps) != len(e.nl.Gates) {
-		panic(fmt.Sprintf("sim: delay table of %d entries for %d gates", len(delays.Ps), len(e.nl.Gates)))
-	}
+	e.prog.constArrivals(delays, e.arrival)
 	e.delays = delays
 }
 
-// Clone returns a new Engine over the same (immutable, shared) netlist and
+// Clone returns a new Engine over the same (immutable, shared) program and
 // delay table but with its own value/arrival scratch buffers. Cloning is the
 // cheap path to parallel evaluation: clones may run concurrently with each
 // other and with the original, as long as nobody calls SetDelays while runs
@@ -68,52 +75,114 @@ func (e *Engine) SetDelays(delays delay.Table) {
 func (e *Engine) Clone() *Engine {
 	engineClones.Inc()
 	return &Engine{
-		nl:      e.nl,
+		prog:    e.prog,
 		delays:  e.delays,
-		values:  make([]uint8, len(e.nl.Gates)),
-		arrival: make([]float64, len(e.nl.Gates)),
+		values:  append([]uint8(nil), e.values...),
+		arrival: append([]float64(nil), e.arrival...),
 	}
 }
 
 // Netlist returns the engine's netlist (shared, read-only).
-func (e *Engine) Netlist() *netlist.Netlist { return e.nl }
+func (e *Engine) Netlist() *netlist.Netlist { return e.prog.nl }
 
 // GatesPerRun returns how many gates one Run call evaluates — the
 // denominator of the gate-evals/s throughput metric.
-func (e *Engine) GatesPerRun() int { return len(e.nl.Order) }
+func (e *Engine) GatesPerRun() int { return e.prog.GatesPerRun() }
 
-// Run evaluates the netlist for the given primary-input vector.
+// Run evaluates the netlist for the given primary-input vector and returns
+// every net's value and arrival time.
 //
 // Aliasing contract: the returned slices are owned by the engine and are
 // overwritten in place by the next Run call — callers must finish reading
-// (or copy) them before re-running the engine, and must never retain them
-// across calls. TestRunAliasingContract enforces this so that callers which
+// (or copy) them before re-running the engine, and must never retain or
+// modify them. TestRunAliasingContract enforces this so that callers which
 // accidentally rely on stable storage fail loudly rather than silently when
 // engine internals change.
 func (e *Engine) Run(inputs []uint8) (values []uint8, arrival []float64) {
-	nl := e.nl
+	nl := e.prog.nl
 	if len(inputs) != len(nl.Inputs) {
 		panic(fmt.Sprintf("sim: %d inputs for netlist with %d", len(inputs), len(nl.Inputs)))
 	}
 	for i, g := range nl.Inputs {
 		e.values[g] = inputs[i] & 1
-		e.arrival[g] = 0
 	}
+	switch rca := e.prog.rca; {
+	case rca == nil:
+		e.runGeneric()
+	case rca.paired:
+		e.runPaired()
+	default:
+		for ci := range rca.chains {
+			e.runChain(&rca.chains[ci])
+		}
+	}
+	levelizedPasses.Inc()
+	gateEvals.Add(uint64(len(nl.Order)))
+	return e.values, e.arrival
+}
+
+// runChain is the fused kernel at lane width 1 over one carry chain: per
+// stage, five gates' values in five bit ops and the three variable arrivals
+// from the stage's constant arrivals and delays plus the running carry
+// arrival.
+func (e *Engine) runChain(ch *rcaChain) {
+	v, arr, d := e.values, e.arrival, e.delays.Ps
+	c := uint64(v[ch.cin])
+	var tc uint64 // the chain's carry-in arrives at t=0
+	for si := range ch.stages {
+		st := &ch.stages[si]
+		a, b := uint64(v[st.a]), uint64(v[st.b])
+		s1, c1 := a^b, a&b
+		c2 := s1 & c
+		v[st.s1], v[st.c1], v[st.c2] = uint8(s1), uint8(c1), uint8(c2)
+		v[st.sum], v[st.cout] = uint8(s1^c), uint8(c1|c2)
+		t2, co := faLane(math.Float64bits(arr[st.s1]), math.Float64bits(arr[st.c1]), d[st.sum], d[st.c2], d[st.cout],
+			tc, s1, c, c1, c2, &arr[st.sum])
+		arr[st.c2], arr[st.cout] = math.Float64frombits(t2), math.Float64frombits(co)
+		c, tc = c1|c2, co
+	}
+}
+
+// runPaired is runChain for the two-ALU race: both chains see the same
+// operand and carry values, so the value layer runs once per stage and the
+// two chains' independent arrival recurrences advance together.
+func (e *Engine) runPaired() {
+	v, arr, d := e.values, e.arrival, e.delays.Ps
+	chA, chB := &e.prog.rca.chains[0], &e.prog.rca.chains[1]
+	stsB := chB.stages[:len(chA.stages)]
+	c := uint64(v[chA.cin])
+	var tA, tB uint64 // the carry-in arrives at t=0
+	for si := range chA.stages {
+		stA, stB := &chA.stages[si], &stsB[si]
+		a, b := uint64(v[stA.a]), uint64(v[stA.b])
+		s1, c1 := a^b, a&b
+		c2 := s1 & c
+		sumV, coV := uint8(s1^c), uint8(c1|c2)
+		v[stA.s1], v[stA.c1], v[stA.c2], v[stA.sum], v[stA.cout] = uint8(s1), uint8(c1), uint8(c2), sumV, coV
+		v[stB.s1], v[stB.c1], v[stB.c2], v[stB.sum], v[stB.cout] = uint8(s1), uint8(c1), uint8(c2), sumV, coV
+		t2A, coA := faLane(math.Float64bits(arr[stA.s1]), math.Float64bits(arr[stA.c1]), d[stA.sum], d[stA.c2], d[stA.cout],
+			tA, s1, c, c1, c2, &arr[stA.sum])
+		t2B, coB := faLane(math.Float64bits(arr[stB.s1]), math.Float64bits(arr[stB.c1]), d[stB.sum], d[stB.c2], d[stB.cout],
+			tB, s1, c, c1, c2, &arr[stB.sum])
+		arr[stA.c2], arr[stA.cout] = math.Float64frombits(t2A), math.Float64frombits(coA)
+		arr[stB.c2], arr[stB.cout] = math.Float64frombits(t2B), math.Float64frombits(coB)
+		c, tA, tB = c1|c2, coA, coB
+	}
+}
+
+// runGeneric is the per-gate floating-mode walk: the fallback for netlists
+// that are not pure ripple-carry chains, and (via Program.Generic) the
+// reference the fused kernels are checked against.
+func (e *Engine) runGeneric() {
+	nl := e.prog.nl
+	delays := e.delays.Ps
 	for _, g := range nl.Order {
 		gate := &nl.Gates[g]
 		switch gate.Kind {
-		case netlist.Input:
-			continue
-		case netlist.Const0:
-			e.values[g] = 0
-			e.arrival[g] = 0
-			continue
-		case netlist.Const1:
-			e.values[g] = 1
-			e.arrival[g] = 0
-			continue
+		case netlist.Input, netlist.Const0, netlist.Const1:
+			continue // values set by Run and NewEngine, arrivals 0 by SetDelays
 		}
-		d := e.delays.Ps[g]
+		d := delays[g]
 		ctrl, hasCtrl := gate.Kind.ControllingValue()
 		var val uint8
 		var t float64
@@ -171,9 +240,6 @@ func (e *Engine) Run(inputs []uint8) (values []uint8, arrival []float64) {
 		e.values[g] = val
 		e.arrival[g] = t + d
 	}
-	levelizedPasses.Inc()
-	gateEvals.Add(uint64(len(nl.Order)))
-	return e.values, e.arrival
 }
 
 // event is one scheduled output transition in the event-driven simulator.

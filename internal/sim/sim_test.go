@@ -38,7 +38,7 @@ func randomTable(nl *netlist.Netlist, src *rng.Source) delay.Table {
 
 func TestArrivalValuesMatchFunctionalEvaluation(t *testing.T) {
 	nl := netlist.BuildRCANetlist(8)
-	eng := NewEngine(nl, randomTable(nl, rng.New(1)))
+	eng := NewEngine(Compile(nl), randomTable(nl, rng.New(1)))
 	src := rng.New(2)
 	in := make([]uint8, len(nl.Inputs))
 	for trial := 0; trial < 200; trial++ {
@@ -61,7 +61,7 @@ func TestArrivalChainOfInverters(t *testing.T) {
 	n3 := b.Gate(netlist.Not, n2)
 	b.Output("y", n3)
 	nl := b.MustBuild()
-	eng := NewEngine(nl, unitDelays(nl))
+	eng := NewEngine(Compile(nl), unitDelays(nl))
 	_, arr := eng.Run([]uint8{1})
 	if arr[n3] != 3 {
 		t.Errorf("three-inverter chain arrival = %v, want 3", arr[n3])
@@ -80,7 +80,7 @@ func TestArrivalControllingValueShortCircuits(t *testing.T) {
 	y := b.Gate(netlist.And, fast, s3)
 	b.Output("y", y)
 	nl := b.MustBuild()
-	eng := NewEngine(nl, unitDelays(nl))
+	eng := NewEngine(Compile(nl), unitDelays(nl))
 
 	// fast=0 controls the AND: arrival = 0 + 1.
 	_, arr := eng.Run([]uint8{0, 0})
@@ -108,7 +108,7 @@ func TestArrivalXorAlwaysWaitsForAllInputs(t *testing.T) {
 	out := b.Gate(netlist.Xor, x, slow)
 	b.Output("o", out)
 	nl := b.MustBuild()
-	eng := NewEngine(nl, unitDelays(nl))
+	eng := NewEngine(Compile(nl), unitDelays(nl))
 	for v := 0; v < 4; v++ {
 		_, arr := eng.Run([]uint8{uint8(v & 1), uint8(v >> 1)})
 		if arr[out] != 2 {
@@ -122,7 +122,7 @@ func TestArrivalCarryChainDependsOnOperands(t *testing.T) {
 	// values. A long carry chain (0xFF + 0x01) must settle later than a
 	// no-carry addition (0x00 + 0x00) at the MSB sum.
 	nl := netlist.BuildRCANetlist(8)
-	eng := NewEngine(nl, unitDelays(nl))
+	eng := NewEngine(Compile(nl), unitDelays(nl))
 	msb := nl.Outputs[7]
 	mkIn := func(a, b uint8) []uint8 {
 		in := make([]uint8, 17)
@@ -146,7 +146,7 @@ func TestArrivalCarryChainDependsOnOperands(t *testing.T) {
 
 func TestEngineRejectsBadInputs(t *testing.T) {
 	nl := netlist.BuildFullAdderNetlist()
-	eng := NewEngine(nl, unitDelays(nl))
+	eng := NewEngine(Compile(nl), unitDelays(nl))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic on wrong input width")
@@ -162,7 +162,7 @@ func TestNewEngineRejectsBadTable(t *testing.T) {
 			t.Fatal("no panic on wrong table size")
 		}
 	}()
-	NewEngine(nl, delay.Table{Ps: []float64{1}})
+	NewEngine(Compile(nl), delay.Table{Ps: []float64{1}})
 }
 
 func TestEventSimSettlesToFunctionalValues(t *testing.T) {
@@ -191,7 +191,7 @@ func TestEventSimLastChangeNeverExceedsLevelizedArrival(t *testing.T) {
 	// the net can no longer change.
 	nl := netlist.BuildRCANetlist(8)
 	tab := randomTable(nl, rng.New(5))
-	eng := NewEngine(nl, tab)
+	eng := NewEngine(Compile(nl), tab)
 	es := NewEventSim(nl, tab)
 	src := rng.New(6)
 	in := make([]uint8, len(nl.Inputs))
@@ -304,7 +304,7 @@ func TestEventSimGlitchOnRippleCarry(t *testing.T) {
 func TestEnginesAgreeOnSettledValuesProperty(t *testing.T) {
 	nl := netlist.BuildRCANetlist(6)
 	tab := randomTable(nl, rng.New(7))
-	eng := NewEngine(nl, tab)
+	eng := NewEngine(Compile(nl), tab)
 	es := NewEventSim(nl, tab)
 	f := func(a, b uint8, cin bool) bool {
 		in := make([]uint8, 13)
@@ -333,7 +333,7 @@ func TestEnginesAgreeOnSettledValuesProperty(t *testing.T) {
 
 func TestSetDelays(t *testing.T) {
 	nl := netlist.BuildFullAdderNetlist()
-	eng := NewEngine(nl, unitDelays(nl))
+	eng := NewEngine(Compile(nl), unitDelays(nl))
 	_, arr1 := eng.Run([]uint8{1, 1, 1})
 	sumArr1 := arr1[nl.Outputs[0]]
 	double := unitDelays(nl)
@@ -357,8 +357,8 @@ func TestPropDelayScalingScalesArrivals(t *testing.T) {
 	for i, d := range tab.Ps {
 		scaled.Ps[i] = k * d
 	}
-	base := NewEngine(nl, tab)
-	scl := NewEngine(nl, scaled)
+	base := NewEngine(Compile(nl), tab)
+	scl := NewEngine(Compile(nl), scaled)
 	src := rng.New(41)
 	in := make([]uint8, len(nl.Inputs))
 	for trial := 0; trial < 100; trial++ {
@@ -387,7 +387,7 @@ func TestPropMonotoneDelaysMonotoneArrivals(t *testing.T) {
 	src := rng.New(43)
 	in := make([]uint8, len(nl.Inputs))
 	src.Bits(in)
-	base := NewEngine(nl, tab)
+	base := NewEngine(Compile(nl), tab)
 	_, a1 := base.Run(in)
 	ref := append([]float64(nil), a1...)
 	for trial := 0; trial < 30; trial++ {
@@ -397,7 +397,7 @@ func TestPropMonotoneDelaysMonotoneArrivals(t *testing.T) {
 		}
 		bumped := tab.Clone()
 		bumped.Ps[g] += 5
-		eng := NewEngine(nl, bumped)
+		eng := NewEngine(Compile(nl), bumped)
 		_, a2 := eng.Run(in)
 		for n := range ref {
 			if a2[n] < ref[n]-1e-9 {

@@ -4,25 +4,26 @@ import (
 	"sync"
 
 	"pufatt/internal/delay"
-	"pufatt/internal/netlist"
 )
 
 // SlicedPool is Pool's bitsliced sibling: it hands out SlicedEngines over
-// one shared netlist/delay-table pair for parallel block evaluation, with
+// one compiled program and delay table for parallel block evaluation, with
 // the same never-dropped free list and telemetry.
 type SlicedPool struct {
-	mu    sync.Mutex
-	proto *SlicedEngine
-	free  []*SlicedEngine
+	mu     sync.Mutex
+	prog   *Program
+	delays delay.Table
+	free   []*SlicedEngine
 }
 
-// NewSlicedPool returns a pool of bitsliced engines over the netlist/delay
-// pair.
-func NewSlicedPool(nl *netlist.Netlist, delays delay.Table) *SlicedPool {
-	return &SlicedPool{proto: NewSlicedEngine(nl, delays)}
+// NewSlicedPool returns a pool of bitsliced engines over the program and
+// delay table.
+func NewSlicedPool(p *Program, delays delay.Table) *SlicedPool {
+	p.checkDelays(delays)
+	return &SlicedPool{prog: p, delays: delays}
 }
 
-// Get returns an engine, reusing a pooled clone when one is free. The caller
+// Get returns an engine, reusing a pooled one when one is free. The caller
 // owns it until Put. Engines keep whatever delay table they last ran with;
 // callers that sweep operating corners must SetDelays after Get.
 func (p *SlicedPool) Get() *SlicedEngine {
@@ -36,8 +37,10 @@ func (p *SlicedPool) Get() *SlicedEngine {
 		poolIdle.Add(-1)
 		return e
 	}
+	delays := p.delays
 	p.mu.Unlock()
-	return p.proto.Clone()
+	engineClones.Inc()
+	return NewSlicedEngine(p.prog, delays)
 }
 
 // Put returns an engine to the free list for reuse. Only engines obtained
@@ -46,7 +49,7 @@ func (p *SlicedPool) Put(e *SlicedEngine) {
 	if e == nil {
 		return
 	}
-	if e.nl != p.proto.nl {
+	if e.prog.nl != p.prog.nl {
 		panic("sim: Put of a sliced engine from a different netlist")
 	}
 	p.mu.Lock()
@@ -55,13 +58,14 @@ func (p *SlicedPool) Put(e *SlicedEngine) {
 	poolIdle.Add(1)
 }
 
-// SetDelays replaces the delay table handed to engines cloned from now on
+// SetDelays replaces the delay table handed to engines built from now on
 // and on every currently pooled engine (engines checked out keep their old
 // table until their next SetDelays).
 func (p *SlicedPool) SetDelays(delays delay.Table) {
+	p.prog.checkDelays(delays)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.proto.SetDelays(delays)
+	p.delays = delays
 	for _, e := range p.free {
 		e.SetDelays(delays)
 	}
@@ -75,8 +79,8 @@ func (p *SlicedPool) Idle() int {
 }
 
 // GatesPerRun returns the per-lane gate count of the pool's engines.
-func (p *SlicedPool) GatesPerRun() int { return p.proto.GatesPerRun() }
+func (p *SlicedPool) GatesPerRun() int { return p.prog.GatesPerRun() }
 
 // Fused reports whether the pool's engines run the fused ripple-carry
 // program.
-func (p *SlicedPool) Fused() bool { return p.proto.Fused() }
+func (p *SlicedPool) Fused() bool { return p.prog.Fused() }
