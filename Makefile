@@ -36,9 +36,10 @@ vet:
 # fault classes, retry, quarantine), the telemetry layer (tracer ring,
 # journal, health registry, admin endpoints under concurrent sweeps), the
 # CRP database/store claim paths, the parallel batch-evaluation packages,
-# and the prover's PUF port under the race detector.
+# the noise source behind the latch stage, and the prover's PUF port under
+# the race detector.
 race:
-	$(GO) test -race ./internal/attest/... ./internal/telemetry/... ./internal/crp/... ./internal/sim/... ./internal/core/... ./internal/experiments/... ./internal/mcu/...
+	$(GO) test -race ./internal/attest/... ./internal/telemetry/... ./internal/crp/... ./internal/rng/... ./internal/sim/... ./internal/core/... ./internal/experiments/... ./internal/mcu/...
 
 verify:
 	./scripts/verify.sh

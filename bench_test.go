@@ -783,6 +783,25 @@ func BenchmarkEmulatorRespond(b *testing.B) {
 	}
 }
 
+// BenchmarkClockedMajorityResponse is the prover's voted PUF query alone:
+// one engine pass and the latch stage's 5-vote clocked majority at 0.98 of
+// the maximum reliable clock, over varying challenges.
+func BenchmarkClockedMajorityResponse(b *testing.B) {
+	d := core.MustNewDesign(core.DefaultConfig())
+	dev := core.MustNewDevice(d, rng.New(36), 0)
+	cycle := (dev.CriticalPathPs() + 20) / 0.98
+	chs := make([][]uint8, 64)
+	for k := range chs {
+		chs[k] = d.ExpandChallenge(uint64(k), 0)
+	}
+	dst := make([]uint8, d.ResponseBits())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dev.ClockedMajorityResponse(dst, chs[i%len(chs)], 5, cycle, 20)
+	}
+}
+
 // BenchmarkDevicePortFeed is one add-in-PUF-mode query on the prover side:
 // a 5-vote clocked majority at the tuned clock, syndrome generation, and
 // (every eighth query) the obfuscation network.

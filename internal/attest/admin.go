@@ -124,20 +124,32 @@ func AdminMux(t *Telemetry) *http.ServeMux {
 
 // StartAdmin serves the admin mux on the TCP address (":0" picks a free
 // port) and returns the bound address plus a close function that stops the
-// listener and aborts in-flight requests. A nil Telemetry serves the
-// package default.
+// listener and aborts in-flight requests. When the close function returns,
+// the port no longer accepts and the serving goroutine has exited. A nil
+// Telemetry serves the package default.
 func StartAdmin(addr string, t *Telemetry) (net.Addr, func() error, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, nil, err
 	}
 	srv := &http.Server{Handler: AdminMux(t)}
+	served := make(chan struct{})
 	go func() {
-		if serr := srv.Serve(ln); serr != nil && !errors.Is(serr, http.ErrServerClosed) {
-			_ = serr // listener closed under us: nothing useful to do
-		}
+		defer close(served)
+		_ = srv.Serve(ln) // ends with ErrServerClosed once closed
 	}()
-	return ln.Addr(), srv.Close, nil
+	closeFn := func() error {
+		err := srv.Close()
+		// Server.Close only closes listeners Serve has registered; one it
+		// has not reached yet would stay open until Serve closes it later,
+		// from its own goroutine. Close it here, then wait for Serve.
+		if lerr := ln.Close(); lerr != nil && !errors.Is(lerr, net.ErrClosed) && err == nil {
+			err = lerr
+		}
+		<-served
+		return err
+	}
+	return ln.Addr(), closeFn, nil
 }
 
 // StartAdmin attaches an admin endpoint to the prover server's lifecycle:

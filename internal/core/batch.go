@@ -178,11 +178,11 @@ func (be *BatchEvaluator) run(challenges, dst [][]uint8, workers, votes int, noi
 	start := time.Now()
 	switch engine {
 	case EngineBitslice:
-		be.runSliced(challenges, dst, workers, votes, noisy, jitter, noiseBase, tab)
+		be.runSliced(challenges, dst, workers, votes, jitter, noiseBase, tab)
 	case EngineLinear:
-		be.runLinear(challenges, dst, workers, votes, noisy, jitter, noiseBase)
+		be.runLinear(challenges, dst, workers, votes, jitter, noiseBase)
 	default:
-		be.runGate(challenges, dst, workers, votes, noisy, jitter, noiseBase, tab)
+		be.runGate(challenges, dst, workers, votes, jitter, noiseBase, tab)
 	}
 
 	dev.queries += uint64(len(challenges) * votes)
@@ -200,7 +200,7 @@ func (be *BatchEvaluator) run(challenges, dst [][]uint8, workers, votes int, noi
 
 // runGate is the scalar gate-level fan-out: chunks of whole items across
 // cloned scalar engines.
-func (be *BatchEvaluator) runGate(challenges, dst [][]uint8, workers, votes int, noisy bool, jitter float64, noiseBase *rng.Source, tab delay.Table) {
+func (be *BatchEvaluator) runGate(challenges, dst [][]uint8, workers, votes int, jitter float64, noiseBase *rng.Source, tab delay.Table) {
 	dev := be.dev
 	bits := dev.design.ResponseBits()
 	be.pool.SetDelays(tab)
@@ -209,7 +209,6 @@ func (be *BatchEvaluator) runGate(challenges, dst [][]uint8, workers, votes int,
 		var noise rng.Source
 		counts := make([]int, bits)
 		deltas := make([]float64, bits)
-		nbuf := make([]float64, bits)
 		for {
 			lo := int(next.Add(batchChunk)) - batchChunk
 			if lo >= len(challenges) {
@@ -220,10 +219,10 @@ func (be *BatchEvaluator) runGate(challenges, dst [][]uint8, workers, votes int,
 				hi = len(challenges)
 			}
 			for k := lo; k < hi; k++ {
-				if noisy {
+				if jitter > 0 {
 					noise.Reinit(noiseBase.SubSeedN("item", k))
 				}
-				evalOne(dev, eng, challenges[k], dst[k], counts, deltas, nbuf, &noise, jitter, votes, noisy)
+				evalOne(dev, eng, challenges[k], dst[k], counts, deltas, &noise, jitter, votes)
 			}
 		}
 	}
@@ -254,7 +253,7 @@ func (be *BatchEvaluator) runGate(challenges, dst [][]uint8, workers, votes int,
 // for all lanes, extract per-lane arbiter deltas, then draw each item's
 // noise from its own stream in exactly the scalar order — so the result is
 // bit-identical to runGate at every worker count.
-func (be *BatchEvaluator) runSliced(challenges, dst [][]uint8, workers, votes int, noisy bool, jitter float64, noiseBase *rng.Source, tab delay.Table) {
+func (be *BatchEvaluator) runSliced(challenges, dst [][]uint8, workers, votes int, jitter float64, noiseBase *rng.Source, tab delay.Table) {
 	dev := be.dev
 	bits := dev.design.ResponseBits()
 	nIn := 2 * dev.design.cfg.Width
@@ -270,7 +269,6 @@ func (be *BatchEvaluator) runSliced(challenges, dst [][]uint8, workers, votes in
 		counts := make([]int, bits)
 		inWords := make([]uint64, nIn)
 		deltas := make([]float64, bits*sim.Lanes)
-		nbuf := make([]float64, bits)
 		var bcast [2][sim.Lanes]float64
 		for {
 			blk := int(next.Add(1)) - 1
@@ -299,10 +297,10 @@ func (be *BatchEvaluator) runSliced(challenges, dst [][]uint8, workers, votes in
 			extractLaneDeltas(dev, eng, deltas, &bcast)
 			for l := 0; l < lanes; l++ {
 				k := lo + l
-				if noisy {
+				if jitter > 0 {
 					noise.Reinit(noiseBase.SubSeedN("item", k))
 				}
-				respondFromDeltas(dst[k], counts, deltas, nbuf, sim.Lanes, l, &noise, jitter, votes, noisy)
+				latch(dst[k], counts, deltas, sim.Lanes, l, nil, &noise, jitter, votes)
 			}
 		}
 	}
@@ -373,7 +371,7 @@ func extractLaneDeltas(dev *Device, eng *sim.SlicedEngine, deltas []float64, bca
 // runLinear evaluates the batch through the device's fitted linear-delay
 // fast model (refitting lazily if the physics moved): no gate-level engine,
 // just a windowed dot product per bit plus the standard noise pipeline.
-func (be *BatchEvaluator) runLinear(challenges, dst [][]uint8, workers, votes int, noisy bool, jitter float64, noiseBase *rng.Source) {
+func (be *BatchEvaluator) runLinear(challenges, dst [][]uint8, workers, votes int, jitter float64, noiseBase *rng.Source) {
 	dev := be.dev
 	bits := dev.design.ResponseBits()
 	model := dev.linearModel()
@@ -382,7 +380,6 @@ func (be *BatchEvaluator) runLinear(challenges, dst [][]uint8, workers, votes in
 		var noise rng.Source
 		counts := make([]int, bits)
 		deltas := make([]float64, bits)
-		nbuf := make([]float64, bits)
 		for {
 			lo := int(next.Add(batchChunk)) - batchChunk
 			if lo >= len(challenges) {
@@ -394,10 +391,10 @@ func (be *BatchEvaluator) runLinear(challenges, dst [][]uint8, workers, votes in
 			}
 			for k := lo; k < hi; k++ {
 				model.DeltasInto(challenges[k], deltas)
-				if noisy {
+				if jitter > 0 {
 					noise.Reinit(noiseBase.SubSeedN("item", k))
 				}
-				respondFromDeltas(dst[k], counts, deltas, nbuf, 1, 0, &noise, jitter, votes, noisy)
+				latch(dst[k], counts, deltas, 1, 0, nil, &noise, jitter, votes)
 			}
 		}
 	}
@@ -423,80 +420,13 @@ func (be *BatchEvaluator) runLinear(challenges, dst [][]uint8, workers, votes in
 // stream. It serves the scalar batch workers and, on the device's own engine
 // and rolling stream, Device.RawResponse/NoiselessResponse/MajorityResponse.
 // It runs one levelized pass, extracts the per-bit deltas, and hands them to
-// the shared noise/threshold stage — the same stage the bitsliced and linear
-// paths feed, which is what makes all engines' noisy outputs comparable
-// term-for-term.
-func evalOne(dev *Device, eng *sim.Engine, challenge, out []uint8, counts []int, deltas, nbuf []float64, noise *rng.Source, jitter float64, votes int, noisy bool) {
+// the latch stage the bitsliced and linear paths feed too, which is what
+// makes all engines' noisy outputs comparable term-for-term. jitter 0 is
+// the noiseless response.
+func evalOne(dev *Device, eng *sim.Engine, challenge, out []uint8, counts []int, deltas []float64, noise *rng.Source, jitter float64, votes int) {
 	_, arr := eng.Run(challenge)
 	for i := range deltas {
 		deltas[i] = dev.arrivalDelta(arr, i)
 	}
-	respondFromDeltas(out, counts, deltas, nbuf, 1, 0, noise, jitter, votes, noisy)
-}
-
-// respondFromDeltas turns precomputed arrival deltas into response bits:
-// per-bit jitter draws (in ascending bit order, the scalar draw order) and
-// thresholding, or votes-fold majority with noise redrawn per vote. Bit i's
-// delta is deltas[i*stride+lane]: stride 1 for scalar layouts, sim.Lanes for
-// lane-major bitsliced blocks. The engine pass behind the deltas is
-// deterministic, so one pass serves every vote — only the arbiter noise
-// differs, and the draws keep the order of votes sequential raw responses.
-//
-// The jitter draws are buffered into nbuf (len = response bits) before the
-// threshold pass: the draw order is unchanged, but the Norm calls run in a
-// loop with nothing else live, and the add/compare loop runs call-free —
-// measurably faster than interleaving a function call between every
-// comparison on the batch hot path.
-func respondFromDeltas(out []uint8, counts []int, deltas, nbuf []float64, stride, lane int, noise *rng.Source, jitter float64, votes int, noisy bool) {
-	if noisy && jitter > 0 && votes == 1 {
-		for i := range nbuf {
-			nbuf[i] = noise.NormMS(0, jitter)
-		}
-		idx := lane
-		for i := range out {
-			var bit uint8
-			if deltas[idx]+nbuf[i] > 0 {
-				bit = 1
-			}
-			out[i] = bit
-			idx += stride
-		}
-		return
-	}
-	if !noisy || jitter <= 0 {
-		// Noiseless, or noisy with zero jitter: no draws happen, every vote
-		// sees the same delta, so majority collapses to one threshold pass.
-		idx := lane
-		for i := range out {
-			var bit uint8
-			if deltas[idx] > 0 {
-				bit = 1
-			}
-			out[i] = bit
-			idx += stride
-		}
-		return
-	}
-	for i := range counts {
-		counts[i] = 0
-	}
-	for v := 0; v < votes; v++ {
-		for i := range nbuf {
-			nbuf[i] = noise.NormMS(0, jitter)
-		}
-		idx := lane
-		for i := range counts {
-			if deltas[idx]+nbuf[i] > 0 {
-				counts[i]++
-			}
-			idx += stride
-		}
-	}
-	for i, c := range counts {
-		var bit uint8
-		if 2*c > votes {
-			bit = 1
-		}
-		out[i] = bit
-	}
+	latch(out, counts, deltas, 1, 0, nil, noise, jitter, votes)
 }

@@ -25,11 +25,10 @@ type Device struct {
 	// corner (slower corner → proportionally larger arrival jitter).
 	jitterScale float64
 	// response scratch reused across queries: the response, the per-bit
-	// arrival deltas, jitter draws, vote counts and, on the clocked path,
-	// which bits miss the latch deadline.
+	// arrival deltas, vote counts and, on the clocked path, which bits miss
+	// the latch deadline.
 	respBuf  []uint8
 	deltaBuf []float64
-	noiseBuf []float64
 	countBuf []int
 	lateBuf  []bool
 	queries  uint64
@@ -87,7 +86,6 @@ func NewDevice(d *Design, master *rng.Source, chipID int) (*Device, error) {
 		epochRoot: master.SubN("device/epoch", chipID),
 		respBuf:   make([]uint8, d.ResponseBits()),
 		deltaBuf:  make([]float64, d.ResponseBits()),
-		noiseBuf:  make([]float64, d.ResponseBits()),
 		countBuf:  make([]int, d.ResponseBits()),
 		lateBuf:   make([]bool, d.ResponseBits()),
 	}
@@ -180,13 +178,16 @@ func (dev *Device) RawResponse(challenge []uint8) []uint8 {
 
 // respond measures the challenge into out through the batch layer's
 // single-item path (evalOne) on the device's own engine and rolling noise
-// stream: one engine pass, then votes-fold majority with noise redrawn per
-// vote, in the order of votes sequential RawResponse calls. Each vote
-// counts as one PUF query.
+// stream: one engine pass, then the latch stage's votes-fold majority with
+// noise redrawn per vote, in the order of votes sequential RawResponse
+// calls. Each vote counts as one PUF query.
 func (dev *Device) respond(out, challenge []uint8, votes int, noisy bool) {
 	dev.checkChallenge(challenge)
-	jitter := dev.design.cfg.JitterPs * dev.jitterScale
-	evalOne(dev, dev.engine, challenge, out, dev.countBuf, dev.deltaBuf, dev.noiseBuf, dev.noise, jitter, votes, noisy)
+	jitter := 0.0
+	if noisy {
+		jitter = dev.design.cfg.JitterPs * dev.jitterScale
+	}
+	evalOne(dev, dev.engine, challenge, out, dev.countBuf, dev.deltaBuf, dev.noise, jitter, votes)
 	dev.queries += uint64(votes)
 }
 
@@ -289,10 +290,10 @@ func (dev *Device) ClockedResponse(challenge []uint8, tCyclePs, tSetupPs float64
 // clocked measurements of the challenge (votes odd), exactly as votes
 // sequential ClockedResponse calls would measure them: the engine runs once
 // — the arrivals are deterministic, only the latching differs per vote —
-// and then each vote draws per bit, in ascending bit order, arbiter jitter
-// for bits that latch in time or a metastable resolution for late ones.
-// Each vote counts as one PUF query. valid reports how many bits latch
-// cleanly (the same for every vote).
+// and the latch stage then draws, per vote and bit in ascending bit order,
+// arbiter jitter for bits that latch in time or a metastable resolution
+// for late ones. Each vote counts as one PUF query. valid reports how many
+// bits latch cleanly (the same for every vote).
 func (dev *Device) ClockedMajorityResponse(dst, challenge []uint8, votes int, tCyclePs, tSetupPs float64) (valid int) {
 	if votes < 1 || votes%2 == 0 {
 		panic(fmt.Sprintf("core: majority votes %d must be odd and positive", votes))
@@ -313,30 +314,12 @@ func (dev *Device) ClockedMajorityResponse(dst, challenge []uint8, votes int, tC
 		if !dev.lateBuf[i] {
 			valid++
 		}
-		dev.countBuf[i] = 0
 	}
-	for v := 0; v < votes; v++ {
-		for i, late := range dev.lateBuf {
-			if late {
-				dev.countBuf[i] += int(dev.noise.Bit())
-				continue
-			}
-			d := dev.deltaBuf[i]
-			if jitter > 0 {
-				d += dev.noise.NormMS(0, jitter)
-			}
-			if d > 0 {
-				dev.countBuf[i]++
-			}
-		}
+	late := dev.lateBuf
+	if valid == len(late) {
+		late = nil // every bit latched in time: the stage skips the mask
 	}
-	for i, c := range dev.countBuf {
-		var bit uint8
-		if 2*c > votes {
-			bit = 1
-		}
-		dst[i] = bit
-	}
+	latch(dst, dev.countBuf, dev.deltaBuf, 1, 0, late, dev.noise, jitter, votes)
 	dev.queries += uint64(votes)
 	return valid
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 
@@ -245,6 +246,69 @@ func TestMajorityResponseMatchesPerVoteReference(t *testing.T) {
 			}
 			if a, b := dev.noise.Uint64(), twin.noise.Uint64(); a != b {
 				t.Fatalf("noise streams diverged: %x vs %x", a, b)
+			}
+		})
+	}
+}
+
+// TestBatchNoisyMatchesPerVoteReference pins every batch engine's noisy
+// responses, at 1, 3 and 5 votes, to a test-local per-vote reference: item
+// k draws from its own SubSeedN("item", k) stream under the batch's noise
+// base, and each vote thresholds d + NormMS(0, jitter) per bit in ascending
+// order. The gate and bitslice deltas come from the generic walker, the
+// linear ones from the device's fitted model, so a fault in the shared
+// latch stage cannot hide behind the engines agreeing with each other.
+func TestBatchNoisyMatchesPerVoteReference(t *testing.T) {
+	for _, sc := range engineScenarios() {
+		t.Run(sc.name, func(t *testing.T) {
+			dev := MustNewDevice(MustNewDesign(sc.cfg()), rng.New(408), 0)
+			if sc.prep != nil {
+				sc.prep(dev)
+			}
+			oracle := sim.NewEngine(dev.design.prog.Generic(), dev.tables[dev.cond])
+			jitter := dev.design.cfg.JitterPs * dev.jitterScale
+			bits := dev.design.ResponseBits()
+			ch := batchChallenges(dev.design, 130, 409)
+			deltas := make([]float64, bits)
+			for _, engine := range []EvalEngine{EngineGate, EngineBitslice, EngineLinear} {
+				dev.SetEvalEngine(engine)
+				for _, votes := range []int{1, 3, 5} {
+					base := dev.noise.Sub(fmt.Sprintf("batch/%d", dev.batchEpochs))
+					queries := dev.Queries()
+					var got [][]uint8
+					if votes == 1 {
+						got = dev.RawResponses(ch, 4)
+					} else {
+						got = dev.MajorityResponses(ch, votes, 4)
+					}
+					for k, c := range ch {
+						if engine == EngineLinear {
+							dev.linearModel().DeltasInto(c, deltas)
+						} else {
+							_, arr := oracle.Run(c)
+							for i := range deltas {
+								deltas[i] = dev.arrivalDelta(arr, i)
+							}
+						}
+						noise := base.SubN("item", k)
+						counts := make([]int, bits)
+						for v := 0; v < votes; v++ {
+							for i, d := range deltas {
+								if d+noise.NormMS(0, jitter) > 0 {
+									counts[i]++
+								}
+							}
+						}
+						for i, n := range counts {
+							if want := bit(2*n > votes); got[k][i] != want {
+								t.Fatalf("%s votes %d row %d bit %d: %d, reference %d of %d votes", engine, votes, k, i, got[k][i], n, votes)
+							}
+						}
+					}
+					if want := queries + uint64(votes*len(ch)); dev.Queries() != want {
+						t.Fatalf("%s votes %d: %d queries, want %d", engine, votes, dev.Queries(), want)
+					}
+				}
 			}
 		})
 	}

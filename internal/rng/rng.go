@@ -107,17 +107,15 @@ func (s *Source) SubSeedN(label string, n int) uint64 {
 	return mix
 }
 
-// Uint64 returns the next 64 pseudo-random bits (xoshiro256**).
+// Uint64 returns the next 64 pseudo-random bits (xoshiro256**). The state
+// update is written on locals so that the function stays within the
+// compiler's inlining budget: the normal draws call it in their inner
+// rejection loop.
 func (s *Source) Uint64() uint64 {
-	result := bits.RotateLeft64(s.s[1]*5, 7) * 9
-	t := s.s[1] << 17
-	s.s[2] ^= s.s[0]
-	s.s[3] ^= s.s[1]
-	s.s[1] ^= s.s[2]
-	s.s[0] ^= s.s[3]
-	s.s[2] ^= t
-	s.s[3] = bits.RotateLeft64(s.s[3], 45)
-	return result
+	s0, s1 := s.s[0], s.s[1]
+	s2, s3 := s.s[2]^s0, s.s[3]^s1
+	s.s = [4]uint64{s0 ^ s3, s1 ^ s2, s2 ^ s1<<17, bits.RotateLeft64(s3, 45)}
+	return bits.RotateLeft64(s1*5, 7) * 9
 }
 
 // Uint32 returns the next 32 pseudo-random bits.
@@ -150,23 +148,106 @@ func (s *Source) Bool() bool { return s.Uint64()&1 == 1 }
 // Bit returns a uniformly distributed bit as a uint8 (0 or 1).
 func (s *Source) Bit() uint8 { return uint8(s.Uint64() & 1) }
 
+// polar runs the rejection loop of one Marsaglia polar draw and returns the
+// accepted pair's u and q = u² + v². Norm, NormExceeds and SkipNorm all
+// draw through it, so they consume the same uniforms and see the same q.
+func (s *Source) polar() (u, q float64) {
+	for {
+		u = 2*s.Float64() - 1
+		v := 2*s.Float64() - 1
+		q = u*u + v*v
+		if q > 0 && q < 1 {
+			return u, q
+		}
+	}
+}
+
 // Norm returns a normally distributed float64 with mean 0 and standard
 // deviation 1, using the Marsaglia polar method.
 func (s *Source) Norm() float64 {
-	for {
-		u := 2*s.Float64() - 1
-		v := 2*s.Float64() - 1
-		q := u*u + v*v
-		if q > 0 && q < 1 {
-			return u * math.Sqrt(-2*math.Log(q)/q)
-		}
-	}
+	u, q := s.polar()
+	return u * math.Sqrt(-2*math.Log(q)/q)
 }
 
 // NormMS returns a normally distributed float64 with the given mean and
 // standard deviation.
 func (s *Source) NormMS(mean, sigma float64) float64 {
 	return mean + sigma*s.Norm()
+}
+
+// SkipNorm advances the stream past one Norm draw without computing it:
+// afterwards the stream is exactly where Norm would have left it.
+func (s *Source) SkipNorm() { s.polar() }
+
+// NormExceeds reports d + s.NormMS(0, sigma) > 0 — the sign of a jittered
+// arbiter delta — and advances the stream exactly as NormMS does. It is
+// exact, not an approximation: see exceeds for how it avoids the
+// logarithm on all but a few percent of draws.
+func (s *Source) NormExceeds(d, sigma float64) bool {
+	u, q := s.polar()
+	return exceeds(d, sigma, u, q)
+}
+
+// Operand ranges inside which exceeds decides from bounds. Within them
+// every product it forms, and the literal draw it stands in for, stays a
+// normal float64 (no overflow, no subnormal loss of relative precision).
+const (
+	exceedsMin = 0x1p-300
+	exceedsMax = 0x1p300
+)
+
+// guardBand is the relative margin exceeds demands before trusting a
+// bound. The literal draw carries a relative error of a few ulps (math.Log
+// within one ulp, then a division, a square root and two products, each
+// correctly rounded) and the bound comparisons a few more; 2⁻⁴⁰ ≈ 9·10⁻¹³
+// exceeds their sum by over a thousandfold.
+const guardBand = 0x1p-40
+
+// exceeds decides d + σ·n > 0 for the polar draw n = u·√(−2 ln q / q), as
+// the literal expression evaluates it in float64.
+//
+// Rounding a sum of two floats never changes its sign, so the literal
+// result is the exact sign of d + x with x = fl(σ·n), and sign(x) =
+// sign(u) for σ > 0. If |x| < |d|, or if u does not oppose d, the answer
+// is d's sign; otherwise x wins and it is the opposite. |x| ≈ σ|u|·√(L/q)
+// with L = −2 ln q, which the division-free bounds
+//
+//	4(1−q)/(1+q) ≤ L ≤ (1−q²)/q    (0 < q < 1)
+//
+// bracket. Squared and multiplied through by q², the comparisons need
+// only products. A bound decides only if it clears |d| by guardBand,
+// which covers the literal draw's rounding; 1−q² is formed as
+// (1−q)(1+q) so it keeps full relative precision as q → 1. The upper
+// bound is tried first: when |d| is large against σ it settles the vote
+// whatever u's sign, and that branch predicts well. Whatever the bounds
+// leave open, and every out-of-range operand, falls back to the literal
+// expression.
+func exceeds(d, sigma, u, q float64) bool {
+	if sigma >= exceedsMin && sigma <= exceedsMax {
+		if a := math.Abs(d); a >= exceedsMin && a <= exceedsMax {
+			su := sigma * u
+			s2 := su * su
+			w, p := 1-q, 1+q
+			aq := a * q
+			if s2*w*p*(1+guardBand) < aq*aq { // upper bound: |x| < |d|
+				return d > 0
+			}
+			if math.Signbit(d) == math.Signbit(u) { // u does not oppose d
+				return d > 0
+			}
+			if 4*s2*w > aq*a*p*(1+guardBand) { // lower bound: |x| > |d|
+				return d < 0
+			}
+		} else if d == 0 {
+			// x > 0 iff u > 0: a nonzero polar u is at least 2⁻⁵², so
+			// σ·n cannot underflow to zero in this σ range.
+			return u > 0
+		}
+	}
+	n := u * math.Sqrt(-2*math.Log(q)/q)
+	// The explicit conversion rounds σ·n on its own, so no target may fuse
+	// it with the addition into an FMA the literal NormMS path does not do.
+	return d+float64(sigma*n) > 0
 }
 
 // Bits fills dst with independent uniform bits (one bit per element, values

@@ -45,8 +45,8 @@ go test -race ./internal/sim/... ./internal/core/... ./internal/experiments/...
 echo "== go test -race -run TestParallelDeterminism (smoke across fan-out users)"
 go test -race -run TestParallelDeterminism ./internal/core/... ./internal/experiments/... ./internal/attacks/...
 
-echo "== go test -race compiled engine suite (cross-engine equivalence at lane widths 1 and 64, one-pass voted queries, port identity, linear fast model)"
-go test -race -run 'Sliced|Bitslice|Lane1|FallBack|DeviceEngine|PerVoteReference|CriticalPathCache|PortSweep|LinearModel|LinearEngine|EvalEngine' ./internal/sim ./internal/core ./internal/mcu
+echo "== go test -race compiled engine suite (cross-engine equivalence at lane widths 1 and 64, one-pass voted queries and the latch stage against per-vote references, log-free jitter votes on twin streams, port identity, linear fast model)"
+go test -race -run 'Sliced|Bitslice|Lane1|FallBack|DeviceEngine|PerVoteReference|NormExceeds|ExceedsGuardBand|CriticalPathCache|PortSweep|LinearModel|LinearEngine|EvalEngine' ./internal/rng ./internal/sim ./internal/core ./internal/mcu
 
 echo "== go test -race -run TestBitsliceDeterministicAcrossWorkers (bitslice worker-count determinism smoke)"
 go test -race -run TestBitsliceDeterministicAcrossWorkers ./internal/core
